@@ -189,11 +189,20 @@ func BenchmarkDistributedRuntime(b *testing.B) {
 		specs[j] = rths.DefaultHelperSpec()
 	}
 	for i := 0; i < b.N; i++ {
-		rt, err := rths.NewDistributed(rths.DistributedConfig{NumPeers: 10, Helpers: specs, Seed: 1})
+		rt, err := rths.NewDistsim(rths.DistsimConfig{
+			Channels: []rths.DistsimChannelConfig{{Seed: 1, InitialPeers: 10}},
+			Helpers:  specs,
+			Assign:   make([]int, len(specs)),
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Run(500, nil); err != nil {
+		for r := 0; r < 500; r++ {
+			if _, err := rt.StepRound(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := rt.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,33 +19,34 @@ func main() {
 		helpers = 4
 		epochs  = 3000
 	)
-	specs := make([]rths.HelperSpec, helpers)
-	for j := range specs {
-		specs[j] = rths.DefaultHelperSpec()
-	}
-	rt, err := rths.NewDistributed(rths.DistributedConfig{
-		NumPeers: peers,
-		Helpers:  specs,
-		Seed:     2024,
+	// One channel whose manager hosts every peer and owns every helper
+	// (Assign all zero); each StepRound is one epoch of the repeated game.
+	rt, err := rths.NewDistsim(rths.DistsimConfig{
+		Channels: []rths.DistsimChannelConfig{{Name: "distributed", Seed: 2024, InitialPeers: peers}},
+		Helpers:  rths.UniformHelpers(helpers, rths.DefaultHelperSpec()),
+		Assign:   make([]int, helpers),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer rt.Close()
 
 	var tailWelfare, tailOptimum float64
-	err = rt.Run(epochs, func(s rths.EpochStats) {
-		if (s.Epoch+1)%500 == 0 {
-			fmt.Printf("epoch %4d  welfare %6.1f kbps  loads %v\n", s.Epoch+1, s.Welfare, s.Loads)
+	for e := 0; e < epochs; e++ {
+		stats, err := rt.StepRound()
+		if err != nil {
+			log.Fatal(err)
 		}
-		if s.Epoch >= epochs/2 {
-			tailWelfare += s.Welfare
-			for _, c := range s.Capacities {
+		ch := &stats.Channels[0]
+		if (e+1)%500 == 0 {
+			fmt.Printf("epoch %4d  welfare %6.1f kbps  loads %v\n", e+1, ch.Welfare, ch.Loads)
+		}
+		if e >= epochs/2 {
+			tailWelfare += ch.Welfare
+			for _, c := range ch.Capacities {
 				tailOptimum += c
 			}
 		}
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("\n%d peers on a manager node + %d helper nodes, %d epochs, O(helpers) messages/round\n",
 		peers, helpers, epochs)

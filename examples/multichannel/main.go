@@ -12,13 +12,6 @@ import (
 )
 
 func main() {
-	mk := func(n int) []rths.HelperSpec {
-		hs := make([]rths.HelperSpec, n)
-		for j := range hs {
-			hs[j] = rths.DefaultHelperSpec()
-		}
-		return hs
-	}
 	// Popular channels get bigger audiences (Zipf); the helper-level
 	// allocator (the paper's §V extension) splits an 11-helper pool by
 	// aggregate demand before peer-level RTHS runs inside each channel.
@@ -38,54 +31,57 @@ func main() {
 	}
 	fmt.Printf("helper pool split by demand: %v\n\n", counts)
 
-	channels := make([]rths.ChannelConfig, 3)
+	// The cluster's proportional allocator deals its pool by that same
+	// split, so each channel starts with counts[c] helpers; StepStage runs
+	// no re-allocation boundary, so the pools stay put.
+	channels := make([]rths.ClusterChannelSpec, 3)
 	for c := range channels {
-		channels[c] = rths.ChannelConfig{
+		channels[c] = rths.ClusterChannelSpec{
 			Name:         names[c],
 			Bitrate:      bitrates[c],
-			Helpers:      mk(counts[c]),
 			InitialPeers: audiences[c],
 		}
 	}
-	multi, err := rths.NewMultiChannel(rths.MultiChannelConfig{Channels: channels, Seed: 7})
+	cl, err := rths.NewCluster(rths.ClusterConfig{
+		Channels:  channels,
+		Helpers:   rths.UniformHelpers(11, rths.DefaultHelperSpec()),
+		Allocator: rths.ClusterAllocProportional,
+		Seed:      7,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Close()
 	server, err := rths.NewServer(8000)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const stages = 3000
-	type channelAgg struct{ welfare, optimum float64 }
-	agg := map[string]*channelAgg{}
+	welfare := make([]float64, len(channels))
+	optimum := make([]float64, len(channels))
 	for s := 0; s < stages; s++ {
-		res, err := multi.Step()
+		totals, err := cl.StepStage()
 		if err != nil {
 			log.Fatal(err)
 		}
 		// The origin tops up every channel's unmet demand.
-		if _, err := server.ServeStage([]float64{res.TotalServerLoad}); err != nil {
+		if _, err := server.ServeStage([]float64{totals.ServerLoad}); err != nil {
 			log.Fatal(err)
 		}
 		if s < stages/2 {
 			continue
 		}
-		for _, ch := range res.Channels {
-			a := agg[ch.Name]
-			if a == nil {
-				a = &channelAgg{}
-				agg[ch.Name] = a
-			}
-			a.welfare += ch.Result.Welfare
-			a.optimum += ch.Result.OptWelfare
+		for c := range channels {
+			r := cl.ChannelStageResult(c)
+			welfare[c] += r.Welfare
+			optimum[c] += r.OptWelfare
 		}
 	}
 
 	fmt.Println("channel            welfare/optimum")
-	for _, name := range names {
-		a := agg[name]
-		fmt.Printf("%-18s %.1f%%\n", name, 100*a.welfare/a.optimum)
+	for c, name := range names {
+		fmt.Printf("%-18s %.1f%%\n", name, 100*welfare[c]/optimum[c])
 	}
 	fmt.Printf("\norigin server: mean load %.1f kbps, saturated %.1f%% of stages\n",
 		server.MeanLoad(), 100*server.OverloadFraction())

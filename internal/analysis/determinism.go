@@ -27,7 +27,6 @@ var deterministicPkgs = map[string]bool{
 	"xrand":   true,
 	"alloc":   true,
 	"trace":   true,
-	"overlay": true,
 }
 
 // IsDeterministicPkg reports whether the package path names one of the

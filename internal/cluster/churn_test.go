@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rths/internal/core"
@@ -102,6 +103,145 @@ func TestChurnOpsGlobalIDs(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestInitialMembership checks the scenario layer's initial audiences.
+func TestInitialMembership(t *testing.T) {
+	c := twoChannelCluster(t, 7)
+	if c.NumChannels() != 2 || c.ActivePeers() != 10 {
+		t.Fatalf("channels=%d active=%d", c.NumChannels(), c.ActivePeers())
+	}
+	if c.ChannelAudience(0) != 6 || c.ChannelAudience(1) != 4 {
+		t.Fatalf("audiences %d/%d", c.ChannelAudience(0), c.ChannelAudience(1))
+	}
+}
+
+// TestJoinLeaveSwitch drives one viewer through join, switch, no-op switch
+// and leave, with the invalid calls in between rejected, and steps on.
+func TestJoinLeaveSwitch(t *testing.T) {
+	c := twoChannelCluster(t, 13)
+	if err := c.Join(100, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.ActivePeers() != 11 || c.ChannelAudience(0) != 7 {
+		t.Fatal("join not applied")
+	}
+	if err := c.Join(100, 0); err == nil {
+		t.Fatal("duplicate join accepted")
+	}
+	if err := c.Join(101, 9); err == nil {
+		t.Fatal("bad channel accepted")
+	}
+	if err := c.Switch(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.ChannelAudience(0) != 6 || c.ChannelAudience(1) != 5 {
+		t.Fatal("switch not applied")
+	}
+	if err := c.Switch(100, 1); err != nil || c.ChannelAudience(1) != 5 {
+		t.Fatalf("no-op switch: err=%v audience=%d", err, c.ChannelAudience(1))
+	}
+	if err := c.Leave(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(100); err == nil {
+		t.Fatal("double leave accepted")
+	}
+	if c.ActivePeers() != 10 {
+		t.Fatalf("ActivePeers = %d", c.ActivePeers())
+	}
+	// The membership maps stay intact: the cluster still steps cleanly.
+	for s := 0; s < 50; s++ {
+		if _, err := c.StepStage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSwitchAtomicOnBadTarget pins the atomic Switch: a move to an
+// out-of-range channel must error and leave the viewer in its channel — a
+// Leave-then-Join sequence would drop it when the Join leg failed.
+func TestSwitchAtomicOnBadTarget(t *testing.T) {
+	c := twoChannelCluster(t, 19)
+	if err := c.Join(100, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{-1, 2, 99} {
+		if err := c.Switch(100, bad); err == nil {
+			t.Fatalf("switch to channel %d accepted", bad)
+		}
+	}
+	if c.ActivePeers() != 11 || c.ChannelAudience(0) != 7 {
+		t.Fatalf("failed switch dropped the viewer: active=%d ch0=%d",
+			c.ActivePeers(), c.ChannelAudience(0))
+	}
+	// The viewer is still addressable: a valid switch and a leave both work.
+	if err := c.Switch(100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(100); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeaveReindexesCorrectly removes a viewer from the middle of channel
+// 0, then the rest of it by id: every remaining id must still resolve
+// after the removal reindexes the channel, and the emptied channel steps.
+func TestLeaveReindexesCorrectly(t *testing.T) {
+	c := twoChannelCluster(t, 17)
+	ids := slices.Clone(c.ChannelPeerIDs(0))
+	if err := c.Leave(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range slices.Delete(ids, 2, 3) {
+		if err := c.Leave(id); err != nil {
+			t.Fatalf("leave %d after reindex: %v", id, err)
+		}
+	}
+	if c.ChannelAudience(0) != 0 {
+		t.Fatalf("audience = %d", c.ChannelAudience(0))
+	}
+	if _, err := c.StepStage(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyUnknownEvent: Apply rejects an event kind it does not know.
+func TestApplyUnknownEvent(t *testing.T) {
+	c := twoChannelCluster(t, 29)
+	if err := c.Apply(trace.Event{Kind: trace.EventKind(99)}); err == nil {
+		t.Fatal("unknown event accepted")
+	}
+}
+
+// TestReplayWorkload replays a churn trace onto four empty channels over
+// the full horizon: every stage is observed and the final audience is the
+// workload's.
+func TestReplayWorkload(t *testing.T) {
+	const horizon = 300
+	w := churnWorkload(t, horizon, 5)
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "a", Bitrate: 300}, {Name: "b", Bitrate: 300},
+			{Name: "c", Bitrate: 300}, {Name: "d", Bitrate: 300},
+		},
+		Helpers: UniformHelpers(4, core.DefaultHelperSpec()),
+		Seed:    23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stages := 0
+	if err := c.ReplayTotals(w, horizon, func(StageTotals) { stages++ }); err != nil {
+		t.Fatal(err)
+	}
+	if stages != horizon {
+		t.Fatalf("observed %d stages", stages)
+	}
+	if c.ActivePeers() != w.FinalActive {
+		t.Fatalf("final active %d vs workload %d", c.ActivePeers(), w.FinalActive)
 	}
 }
 

@@ -146,13 +146,6 @@ type Config struct {
 	// Helpers is the shared global pool; len >= len(Channels) so that every
 	// channel can always hold at least one helper.
 	Helpers []core.HelperSpec
-	// InitialAssign, when non-nil, overrides the allocator's initial
-	// helper→channel assignment: InitialAssign[h] is helper h's starting
-	// channel. It must cover every channel with at least one helper.
-	// Combined with AllocStatic this freezes dedicated per-channel pools —
-	// the configuration the overlay compatibility wrapper runs on; with an
-	// adaptive allocator it merely seeds the first epoch's assignment.
-	InitialAssign []int
 	// Allocator picks the re-allocation policy (default AllocGreedy).
 	Allocator AllocatorKind
 	// Backend picks the execution backend (default BackendMemory). With
@@ -595,30 +588,9 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.demands[ci] = alloc.Channel{Name: ch.Name, Demand: float64(ch.InitialPeers) * ch.Bitrate}
 	}
-	if cfg.InitialAssign != nil {
-		if len(cfg.InitialAssign) != len(cfg.Helpers) {
-			return nil, fmt.Errorf("cluster: InitialAssign covers %d of %d helpers",
-				len(cfg.InitialAssign), len(cfg.Helpers))
-		}
-		covered := make([]int, len(cfg.Channels))
-		for h, ci := range cfg.InitialAssign {
-			if ci < 0 || ci >= len(cfg.Channels) {
-				return nil, fmt.Errorf("cluster: InitialAssign[%d]=%d of %d channels", h, ci, len(cfg.Channels))
-			}
-			covered[ci]++
-		}
-		for ci, n := range covered {
-			if n == 0 {
-				return nil, fmt.Errorf("cluster: InitialAssign leaves channel %q without helpers", cfg.Channels[ci].Name)
-			}
-		}
-		c.assign = append(alloc.Assignment(nil), cfg.InitialAssign...)
-	} else {
-		assign, err := c.propose()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: initial allocation: %w", err)
-		}
-		c.assign = assign
+	var err error
+	if c.assign, err = c.propose(); err != nil {
+		return nil, fmt.Errorf("cluster: initial allocation: %w", err)
 	}
 
 	// Director bookkeeping. The RNG budget is drawn in a fixed order
@@ -682,7 +654,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	var err error
 	switch cfg.Backend {
 	case BackendDistsim:
 		c.backend, err = newDistBackend(cfg, c.assign, seeds, scale, c.startup, c.tel.batchSizes, c.spans)
@@ -746,9 +717,6 @@ func (c *Cluster) ChannelPool(ci int) int { return len(c.channels[ci].helperIDs)
 
 // ChannelName returns channel ci's configured name.
 func (c *Cluster) ChannelName(ci int) string { return c.channels[ci].name }
-
-// ChannelBitrate returns channel ci's media bitrate (kbps).
-func (c *Cluster) ChannelBitrate(ci int) float64 { return c.channels[ci].bitrate }
 
 // ChannelPeerIDs returns the global viewer ids watching channel ci,
 // parallel to the channel's local peer indices. The slice aliases director

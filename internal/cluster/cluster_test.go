@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"rths/internal/core"
@@ -85,6 +86,149 @@ func TestInitialAllocationCoversEveryChannel(t *testing.T) {
 	if c.ChannelPool(0) < c.ChannelPool(c.NumChannels()-1) {
 		t.Fatalf("popular channel pool %d < unpopular %d",
 			c.ChannelPool(0), c.ChannelPool(c.NumChannels()-1))
+	}
+}
+
+// TestProportionalPoolsFollowDemand is the §V extension end to end: the
+// proportional allocator sizes each channel's pool from aggregate demand,
+// then peer-level RTHS runs inside every channel. The demand-heavy channel
+// must get the larger pool and every channel must reach its own optimum.
+func TestProportionalPoolsFollowDemand(t *testing.T) {
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "hot", Bitrate: 500, InitialPeers: 20}, // 10000 kbps aggregate
+			{Name: "cold", Bitrate: 300, InitialPeers: 5}, // 1500 kbps
+		},
+		Helpers:   UniformHelpers(8, core.DefaultHelperSpec()),
+		Allocator: AllocProportional,
+		Seed:      99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ChannelPool(0) <= c.ChannelPool(1) {
+		t.Fatalf("hot channel got %d helpers vs cold %d", c.ChannelPool(0), c.ChannelPool(1))
+	}
+	const stages = 1500
+	welfare := make([]float64, c.NumChannels())
+	optimum := make([]float64, c.NumChannels())
+	for s := 0; s < stages; s++ {
+		if _, err := c.StepStage(); err != nil {
+			t.Fatal(err)
+		}
+		if s < stages/2 {
+			continue
+		}
+		for ci := range welfare {
+			r := c.ChannelStageResult(ci)
+			welfare[ci] += r.Welfare
+			optimum[ci] += r.OptWelfare
+		}
+	}
+	for ci := range welfare {
+		if frac := welfare[ci] / optimum[ci]; frac < 0.9 {
+			t.Fatalf("channel %s welfare fraction = %g", c.ChannelName(ci), frac)
+		}
+	}
+}
+
+// TestChannelSeedsNotAdditive pins the channel-seed derivation: under an
+// additive scheme (Seed + ci*const), a cluster seeded Seed+const would
+// replay on its channel 0 the stream of channel 1 of the cluster seeded
+// Seed. Channels draw their seeds from a master stream instead, so the two
+// must be unrelated.
+func TestChannelSeedsNotAdditive(t *testing.T) {
+	const additiveConst = 0x9e3779b97f4a7c15
+	build := func(seed uint64) *Cluster {
+		// Identical channel shapes, so any stream sharing would be visible.
+		c, err := New(Config{
+			Channels: []ChannelSpec{
+				{Name: "a", Bitrate: 400, InitialPeers: 6},
+				{Name: "b", Bitrate: 400, InitialPeers: 6},
+			},
+			Helpers: UniformHelpers(6, core.DefaultHelperSpec()),
+			Seed:    seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	const base = uint64(12345)
+	a, b := build(base), build(base+additiveConst)
+	for s := 0; s < 50; s++ {
+		for _, c := range []*Cluster{a, b} {
+			if _, err := c.StepStage(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !slices.Equal(a.ChannelStageResult(1).Actions, b.ChannelStageResult(0).Actions) {
+			return
+		}
+	}
+	t.Fatal("cluster(seed+const) channel 0 replays cluster(seed) channel 1: channel streams are shared")
+}
+
+// twoChannelCluster is a small memory-backend deployment: news (400 kbps,
+// 6 viewers) and sports (600 kbps, 4 viewers) over a pool of 5 helpers.
+func twoChannelCluster(t *testing.T, seed uint64) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "news", Bitrate: 400, InitialPeers: 6},
+			{Name: "sports", Bitrate: 600, InitialPeers: 4},
+		},
+		Helpers: UniformHelpers(5, core.DefaultHelperSpec()),
+		Seed:    seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestStepAggregates pins StepStage's totals to the per-channel results:
+// welfare is their sum, the audience is every viewer, and a demand above
+// the pool's capacity leaves a non-negative minimum deficit.
+func TestStepAggregates(t *testing.T) {
+	c := twoChannelCluster(t, 11)
+	totals, err := c.StepStage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := c.ChannelStageResult(0).Welfare + c.ChannelStageResult(1).Welfare
+	if totals.Welfare != sum {
+		t.Fatalf("totals welfare %g vs channel sum %g", totals.Welfare, sum)
+	}
+	if totals.ActivePeers != 10 {
+		t.Fatalf("ActivePeers = %d", totals.ActivePeers)
+	}
+	// Demand is the bitrate: 6*400+4*600 = 4800 kbps exceeds the pool.
+	if totals.MinDeficit < 0 {
+		t.Fatalf("MinDeficit = %g", totals.MinDeficit)
+	}
+	if ids := c.ChannelPeerIDs(0); len(ids) != 6 {
+		t.Fatalf("channel 0 viewer ids: %v", ids)
+	}
+}
+
+// TestStepStageZeroAllocs pins the aggregate-only observation path: once
+// warm, a memory-backend StepStage allocates nothing per stage.
+func TestStepStageZeroAllocs(t *testing.T) {
+	c := twoChannelCluster(t, 37)
+	for s := 0; s < 8; s++ {
+		if _, err := c.StepStage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.StepStage(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StepStage allocates %g objects per stage, want 0", allocs)
 	}
 }
 

@@ -178,15 +178,6 @@ type Config struct {
 	// 0 selects DefaultViewRefresh; negative disables refresh. Ignored
 	// when partial views are not engaged.
 	ViewRefresh int
-	// ShardMinPeers gates the sharded engine's goroutine fan-out: shards
-	// run inline on the calling goroutine (same per-shard RNG streams,
-	// bit-identical results) until the population reaches
-	// Workers*ShardMinPeers peers, or whenever the process has a single
-	// scheduler core (GOMAXPROCS=1) — goroutines cannot run in parallel
-	// there, so the fan-out would only add handoff latency while the
-	// recorded numbers masquerade as parallel measurements. 0 selects
-	// DefaultShardMinPeers; negative is invalid.
-	ShardMinPeers int
 	// Instruments is the optional per-engine telemetry seam: when non-nil
 	// the stage loop observes select/feedback phase wall time and counts
 	// stages and view swaps into it. Each engine must own its own set (a
@@ -294,7 +285,7 @@ type System struct {
 	shards        []shardState  // per-shard feedback partials
 	selectFn      func(k int)   // bound shardSelect, hoisted so Step stays alloc-free
 	feedbackFn    func(k int)   // bound shardFeedback, same reason
-	shardMinPeers int           // Config.ShardMinPeers (defaulted)
+	shardMinPeers int           // fan-out gate: minShardPeers (tests override it)
 	maxProcs      int           // GOMAXPROCS at construction; 1 forces inline shards
 
 	// arena is the struct-of-arrays store for the resident RTHS learners:
@@ -318,11 +309,15 @@ type shardState struct {
 	_          [3]uint64
 }
 
-// DefaultShardMinPeers is the default Config.ShardMinPeers: below this
-// many peers per shard the parallel engine runs its shards inline (same
-// RNG streams, same results) because goroutine handoff would cost more
-// than the stage work.
-const DefaultShardMinPeers = 64
+// minShardPeers gates the sharded engine's goroutine fan-out: shards run
+// inline on the calling goroutine (same per-shard RNG streams,
+// bit-identical results) until the population reaches
+// Workers*minShardPeers peers, because below that goroutine handoff would
+// cost more than the stage work. Shards also run inline whenever the
+// process has a single scheduler core (GOMAXPROCS=1): goroutines cannot
+// run in parallel there, so the fan-out would only add handoff latency
+// while the recorded numbers masquerade as parallel measurements.
+const minShardPeers = 64
 
 // StageResult is the global view of one completed stage.
 type StageResult struct {
@@ -377,9 +372,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: Workers=%d", cfg.Workers)
-	}
-	if cfg.ShardMinPeers < 0 {
-		return nil, fmt.Errorf("core: ShardMinPeers=%d", cfg.ShardMinPeers)
 	}
 	factory := cfg.Factory
 	if factory == nil {
@@ -488,10 +480,7 @@ func New(cfg Config) (*System, error) {
 		s.selectFn = s.shardSelect
 		s.feedbackFn = s.shardFeedback
 	}
-	s.shardMinPeers = cfg.ShardMinPeers
-	if s.shardMinPeers == 0 {
-		s.shardMinPeers = DefaultShardMinPeers
-	}
+	s.shardMinPeers = minShardPeers
 	// Captured once: the fan-out gate must not flip mid-run if some other
 	// subsystem adjusts GOMAXPROCS (results are identical either way, but
 	// the execution mode should be stable and inspectable).

@@ -92,16 +92,16 @@ func TestParallelDeterministicAcrossRuns(t *testing.T) {
 // must produce bit-identical results.
 func TestParallelInlineMatchesGoroutines(t *testing.T) {
 	collect := func(minPerShard int) []float64 {
-		cfg := workersConfig(256, 5, 4, 7)
-		cfg.ShardMinPeers = minPerShard
-		s, err := New(cfg)
+		s, err := New(workersConfig(256, 5, 4, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Force the GOMAXPROCS side of the gate open so the goroutine
-		// branch is really exercised even on a single-core host (the
-		// spawned goroutines then just time-slice — same streams, same
-		// results, which is exactly the property under test).
+		// Force both sides of the gate: the per-shard population
+		// threshold, and GOMAXPROCS open so the goroutine branch is
+		// really exercised even on a single-core host (the spawned
+		// goroutines then just time-slice — same streams, same results,
+		// which is exactly the property under test).
+		s.shardMinPeers = minPerShard
 		s.maxProcs = 2
 		var welfare []float64
 		if err := s.Run(50, func(r StageResult) { welfare = append(welfare, r.Welfare) }); err != nil {

@@ -2,7 +2,7 @@
 // multi-channel helper-selection deployment — many channels, one shared
 // helper pool, helper re-allocation epochs — as communicating nodes, while
 // keeping the per-round message count at O(helpers + channels) instead of
-// the O(peers) the first-generation runtime (internal/netsim) paid.
+// the O(peers) a goroutine-per-peer runtime pays.
 //
 // # Node roles
 //
@@ -300,6 +300,7 @@ type helperMsg struct {
 	round  int
 	peers  []int32 // attach batch: local peer indices, batched per round
 	failed bool    // link verdict: dropped or past the round deadline
+	seq    uint64  // ownership hand-off: the AddHelper call order
 	proc   *markov.Process
 	levels []float64
 	reply  chan<- replyMsg
@@ -327,8 +328,9 @@ const (
 // manager at the start of the next round in enqueue order.
 type op struct {
 	kind   opKind
-	local  int // RemovePeer / RemoveHelper local index
-	helper int // global helper id (AddHelper / RemoveHelper)
+	local  int    // RemovePeer / RemoveHelper local index
+	helper int    // global helper id (AddHelper / RemoveHelper)
+	seq    uint64 // AddHelper: runtime-wide call order of the hand-off
 	spec   core.HelperSpec
 	node   *helperNode
 }
@@ -352,6 +354,7 @@ type helperNode struct {
 	levels  []float64
 	proc    *markov.Process
 	reply   chan<- replyMsg
+	owner   uint64 // seq of the hand-off held (0: the construction-time owner)
 	link    LinkModel
 	linkRng *xrand.Rand
 }
@@ -364,7 +367,15 @@ func (n *helperNode) run() {
 			return
 		case msgOwner:
 			// Migration hand-off: fresh process (built from the gaining
-			// channel's stream), fresh reply route.
+			// channel's stream), fresh reply route. One round can carry two
+			// hand-offs from different managers (a readmission into A and
+			// a migration A→B at the same boundary), and they race to the
+			// inbox; the later AddHelper call is the owner, so an older
+			// hand-off arriving second is ignored.
+			if msg.seq < n.owner {
+				continue
+			}
+			n.owner = msg.seq
 			n.proc, n.levels, n.reply = msg.proc, msg.levels, msg.reply
 		case msgAttach:
 			// The environment moves once per round regardless of load or
@@ -512,6 +523,7 @@ func (m *manager) applyOps(ops []op) {
 			// the hand-off before this round's attach batch.
 			o.node.inbox <- helperMsg{
 				kind:   msgOwner,
+				seq:    o.seq,
 				proc:   m.sys.HelperProcess(local),
 				levels: m.sys.HelperLevels(local),
 				reply:  m.replies,
@@ -729,6 +741,10 @@ type Runtime struct {
 	stats    RoundStats
 	pending  [][]op
 	round    int
+	// handoffs counts AddHelper calls; each queued hand-off carries its
+	// count so a helper node can tell which of two same-round hand-offs
+	// the coordinator issued last.
+	handoffs uint64
 	// batchSizes is the merge target for the managers' local size
 	// histograms (Config.BatchSizes; nil when disabled).
 	batchSizes *telemetry.Histogram
@@ -944,6 +960,8 @@ func (rt *Runtime) RemovePeer(ci, local int) error {
 // hands ownership of helper node `id` over by control message. Queue all
 // of a migration's additions before its removals so no channel is ever
 // left empty (the order internal/cluster's migrate pass already uses).
+// When one round queues several additions of the same helper, the last
+// call owns the node.
 func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
 	if err := rt.checkChannel(ci); err != nil {
 		return err
@@ -951,7 +969,10 @@ func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
 	if id < 0 || id >= len(rt.nodes) {
 		return fmt.Errorf("distsim: AddHelper id %d of %d", id, len(rt.nodes))
 	}
-	rt.pending[ci] = append(rt.pending[ci], op{kind: opAddHelper, helper: id, spec: spec, node: rt.nodes[id]})
+	rt.handoffs++
+	rt.pending[ci] = append(rt.pending[ci], op{
+		kind: opAddHelper, helper: id, seq: rt.handoffs, spec: spec, node: rt.nodes[id],
+	})
 	return nil
 }
 

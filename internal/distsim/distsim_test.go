@@ -1,7 +1,9 @@
 package distsim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,18 +72,50 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// oneChannelConfig is a single-channel deployment: one manager hosts every
+// peer and owns every helper.
+func oneChannelConfig(peers, helpers int, seed uint64) Config {
+	return Config{
+		Channels: []ChannelConfig{{Name: "solo", Seed: seed, InitialPeers: peers}},
+		Helpers:  uniformHelpers(helpers),
+		Assign:   make([]int, helpers),
+	}
+}
+
 // TestRoundInvariants drives the protocol and checks the per-round channel
-// views: loads conserve peers, rates equal C_j/load_j, and welfare equals
-// the occupied capacity — the same invariants netsim pinned, now per
-// channel.
+// views of every channel: loads conserve peers, rates equal C_j/load_j,
+// and welfare equals the occupied capacity — on the four-channel
+// deployment, on one channel of 12 peers and 3 helper nodes, and on one
+// channel of 100 peers and 10 helper nodes, the population at which
+// deadlocks and buffer miscounts would show.
 func TestRoundInvariants(t *testing.T) {
-	rt, err := New(fourChannelConfig(42))
+	oneChannel := func(peers, helpers int, seed uint64) Config {
+		cfg := oneChannelConfig(peers, helpers, seed)
+		cfg.Channels[0].DemandPerPeer = 500
+		cfg.Channels[0].StartupStages = 2
+		return cfg
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		peers  []int
+		rounds int
+	}{
+		{"four channels", fourChannelConfig(42), []int{20, 10, 5, 5}, 100},
+		{"one channel", oneChannel(12, 3, 42), []int{12}, 200},
+		{"hundred peers", oneChannel(100, 10, 1234), []int{100}, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkRoundInvariants(t, tc.cfg, tc.peers, tc.rounds) })
+	}
+}
+
+func checkRoundInvariants(t *testing.T, cfg Config, peers []int, rounds int) {
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	peers := []int{20, 10, 5, 5}
-	for round := 0; round < 100; round++ {
+	for round := 0; round < rounds; round++ {
 		stats, err := rt.StepRound()
 		if err != nil {
 			t.Fatal(err)
@@ -125,34 +159,76 @@ func TestRoundInvariants(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRuns pins that the concurrency never leaks into
-// results: two identical deployments produce identical welfare streams.
-func TestDeterministicAcrossRuns(t *testing.T) {
-	collect := func() []float64 {
-		rt, err := New(fourChannelConfig(77))
+// TestSingleChannelConvergence: the message-passing protocol must reach
+// the sequential simulator's equilibrium quality — near-optimal welfare in
+// the tail — on the paper's small scenario (10 peers, 4 helpers).
+func TestSingleChannelConvergence(t *testing.T) {
+	const rounds = 3000
+	rt, err := New(oneChannelConfig(10, 4, 2024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	tailWelfare, tailOpt := 0.0, 0.0
+	for round := 0; round < rounds; round++ {
+		stats, err := rt.StepRound()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rt.Close()
-		var welfare []float64
-		for round := 0; round < 80; round++ {
-			stats, err := rt.StepRound()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := 0.0
-			for _, ch := range stats.Channels {
-				sum += ch.Welfare
-			}
-			welfare = append(welfare, sum)
+		if round < rounds/2 {
+			continue
 		}
-		return welfare
+		ch := &stats.Channels[0]
+		tailWelfare += ch.Welfare
+		for _, c := range ch.Capacities {
+			tailOpt += c
+		}
 	}
-	a, b := collect(), collect()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("round %d: %g vs %g — concurrency broke determinism", i, a[i], b[i])
-		}
+	if frac := tailWelfare / tailOpt; frac < 0.93 {
+		t.Fatalf("tail welfare fraction = %g, want >= 0.93", frac)
+	}
+}
+
+// TestDeterministicAcrossRuns pins that the concurrency never leaks into
+// results: two identical deployments produce identical welfare streams, on
+// four channels and on one.
+func TestDeterministicAcrossRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    func() Config
+		rounds int
+	}{
+		{"four channels", func() Config { return fourChannelConfig(77) }, 80},
+		{"one channel", func() Config { return oneChannelConfig(8, 3, 77) }, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			collect := func() []float64 {
+				rt, err := New(tc.cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				var welfare []float64
+				for round := 0; round < tc.rounds; round++ {
+					stats, err := rt.StepRound()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := 0.0
+					for _, ch := range stats.Channels {
+						sum += ch.Welfare
+					}
+					welfare = append(welfare, sum)
+				}
+				return welfare
+			}
+			a, b := collect(), collect()
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("round %d: %g vs %g — concurrency broke determinism", i, a[i], b[i])
+				}
+			}
+		})
 	}
 }
 
@@ -233,6 +309,67 @@ func TestHelperMigrationHandsOff(t *testing.T) {
 	}
 	if got := len(stats.Channels[0].Loads); got != 2 {
 		t.Fatalf("round-trip pool %d, want 2", got)
+	}
+}
+
+// TestReadmitAndMigrateSameRound pins the hand-off order: a round that
+// readmits a helper into one channel and migrates it to another makes both
+// managers send the node an ownership hand-off, and the two race to its
+// inbox. The node must keep the later AddHelper call's route; when the
+// older hand-off won, the gaining manager waited forever for a reply.
+func TestReadmitAndMigrateSameRound(t *testing.T) {
+	for _, move := range []struct{ from, to int }{{0, 1}, {1, 0}} {
+		t.Run(fmt.Sprintf("%d-to-%d", move.from, move.to), func(t *testing.T) {
+			cfg := fourChannelConfig(4)
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Helper h starts on channel h with pool [h, h+4].
+			h := move.from
+			spec := cfg.Helpers[h]
+			var stats *RoundStats
+			run := func() (err error) {
+				// Evict: the pool becomes [h+4].
+				if err = rt.RemoveHelper(move.from, 0, h); err != nil {
+					return err
+				}
+				if _, err = rt.StepRound(); err != nil {
+					return err
+				}
+				// Readmit ([h+4, h]), then migrate away in the same round.
+				if err = rt.AddHelper(move.from, h, spec); err != nil {
+					return err
+				}
+				if err = rt.AddHelper(move.to, h, spec); err != nil {
+					return err
+				}
+				if err = rt.RemoveHelper(move.from, 1, h); err != nil {
+					return err
+				}
+				for round := 0; round < 10 && err == nil; round++ {
+					stats, err = rt.StepRound()
+				}
+				return err
+			}
+			done := make(chan error, 1)
+			go func() { done <- run() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("round deadlocked: the gaining manager never got its helper's reply")
+			}
+			defer rt.Close()
+			if got := stats.Channels[move.to].PoolIDs; !slices.Equal(got, []int{move.to, move.to + 4, h}) {
+				t.Fatalf("gaining channel pool %v", got)
+			}
+			if got := stats.Channels[move.from].PoolIDs; !slices.Equal(got, []int{h + 4}) {
+				t.Fatalf("losing channel pool %v", got)
+			}
+		})
 	}
 }
 
@@ -488,23 +625,58 @@ func (f fixedSelector) Select(*xrand.Rand) int                   { return 0 }
 func (f fixedSelector) Update(action int, utility float64) error { return nil }
 func (f fixedSelector) NumActions() int                          { return f.m }
 
+// rogueSelector picks an action outside its range.
+type rogueSelector struct{ m int }
+
+func (r rogueSelector) Select(*xrand.Rand) int                   { return 99 }
+func (r rogueSelector) Update(action int, utility float64) error { return nil }
+func (r rogueSelector) NumActions() int                          { return r.m }
+
+// TestPluggablePolicies runs a non-learning policy through the protocol:
+// the all-on-one policy must load only helper 0 of every channel, and a
+// policy's out-of-range action must surface from StepRound.
 func TestPluggablePolicies(t *testing.T) {
-	cfg := fourChannelConfig(3)
-	cfg.Factory = func(_, m int, _ float64) (core.Selector, error) {
-		return fixedSelector{m: m}, nil
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"four channels", fourChannelConfig(3)},
+		{"one channel", oneChannelConfig(6, 2, 5)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Factory = func(_, m int, _ float64) (core.Selector, error) {
+				return fixedSelector{m: m}, nil
+			}
+			rt, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			for round := 0; round < 50; round++ {
+				stats, err := rt.StepRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci, ch := range stats.Channels {
+					if ch.Loads[0] != len(ch.Actions) {
+						t.Fatalf("round %d channel %d: fixed policy loads %v", round, ci, ch.Loads)
+					}
+				}
+			}
+		})
 	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	stats, err := rt.StepRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, ch := range stats.Channels {
-		if ch.Loads[0] != len(ch.Actions) {
-			t.Fatalf("channel %d: fixed policy loads %v", ci, ch.Loads)
+	t.Run("out of range action", func(t *testing.T) {
+		cfg := oneChannelConfig(3, 2, 9)
+		cfg.Factory = func(_, m int, _ float64) (core.Selector, error) {
+			return rogueSelector{m: m}, nil
 		}
-	}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		if _, err := rt.StepRound(); err == nil {
+			t.Fatal("out-of-range policy action not surfaced")
+		}
+	})
 }

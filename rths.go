@@ -38,8 +38,6 @@ import (
 	"rths/internal/distsim"
 	"rths/internal/experiment"
 	"rths/internal/metrics"
-	"rths/internal/netsim"
-	"rths/internal/overlay"
 	"rths/internal/regret"
 	"rths/internal/streaming"
 	"rths/internal/telemetry"
@@ -88,27 +86,8 @@ type (
 	Table = experiment.Table
 )
 
-// Multi-channel and distributed-runtime types.
+// Distributed-runtime, allocation, workload and streaming types.
 type (
-	// MultiChannelConfig configures a multi-channel overlay.
-	MultiChannelConfig = overlay.Config
-	// ChannelConfig describes one live channel.
-	ChannelConfig = overlay.ChannelConfig
-	// MultiChannel is a running multi-channel system — a compatibility
-	// wrapper over the cluster runtime with frozen per-channel helper
-	// pools (use NewCluster directly for shared pools and re-allocation).
-	MultiChannel = overlay.Multi
-	// MultiChannelResult aggregates one stage across channels.
-	MultiChannelResult = overlay.StepResult
-	// ChannelResult is one channel's view of a completed stage.
-	ChannelResult = overlay.ChannelResult
-	// DistributedConfig configures the single-channel distributed run
-	// (a compatibility surface over the batched distsim runtime).
-	DistributedConfig = netsim.Config
-	// Distributed is the single-channel message-passing runtime.
-	Distributed = netsim.Runtime
-	// EpochStats is the distributed runtime's per-epoch aggregate.
-	EpochStats = netsim.EpochStats
 	// DistsimConfig configures the batched multi-channel message-passing
 	// runtime (channel-manager nodes, per-helper inboxes, migration as
 	// control messages).
@@ -133,8 +112,6 @@ type (
 	FaultPartition = distsim.Partition
 	// ChannelDemand is one channel's aggregate demand for helper allocation.
 	ChannelDemand = alloc.Channel
-	// MultiChannelTotals is the overlay's allocation-free aggregate view.
-	MultiChannelTotals = overlay.Totals
 	// ChurnConfig parameterizes workload generation.
 	ChurnConfig = trace.ChurnConfig
 	// Workload is a replayable churn trace.
@@ -269,9 +246,6 @@ func NewLossyLink(dropProb, delayProb float64, maxDelay int) (LossyLink, error) 
 	return distsim.NewLossy(dropProb, delayProb, maxDelay)
 }
 
-// NewMultiChannel builds a multi-channel overlay system.
-func NewMultiChannel(cfg MultiChannelConfig) (*MultiChannel, error) { return overlay.New(cfg) }
-
 // NewCluster builds the sharded multi-channel cluster runtime.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
@@ -318,12 +292,6 @@ func ClusterFaults() ClusterScenario { return experiment.ClusterFaults() }
 // DefaultViewRefresh is the default partial-view refresh period in stages
 // (see SystemConfig.ViewRefresh).
 const DefaultViewRefresh = core.DefaultViewRefresh
-
-// NewDistributed builds the single-channel message-passing runtime (the
-// compatibility surface over the batched distsim runtime: one channel
-// manager hosting the peers, one node per helper, O(helpers) messages per
-// round).
-func NewDistributed(cfg DistributedConfig) (*Distributed, error) { return netsim.New(cfg) }
 
 // AllocateHelpers assigns a helper pool to channels greedily by largest
 // remaining deficit (the paper's §V future work: helper-level bandwidth
