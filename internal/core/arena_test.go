@@ -174,6 +174,28 @@ func TestArenaDensityAndAllocsUnderChurn(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("post-churn Step allocates %g objects per stage, want 0", allocs)
 	}
+
+	// Steady-state join/leave on a full-view system allocates at most the
+	// arena-born learner and its peer record: no private matrix or strategy
+	// is built only to be copied into a slot and dropped.
+	full, err := New(defaultConfig(400, 30, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Run(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, err := full.AddPeer(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.RemovePeer(r.Intn(full.NumPeers())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("steady-state AddPeer(nil)+RemovePeer allocates %g objects, want <= 2", allocs)
+	}
 }
 
 // Every RTHS learner constructed through any factory path must end up

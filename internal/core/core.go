@@ -106,14 +106,6 @@ func DefaultHelperSpec() HelperSpec {
 // learner constants for normalized utilities.
 type SelectorFactory func(peer, numActions int, utilityScale float64) (Selector, error)
 
-// RTHSFactory returns the paper's R2HS tracking learner with experiment
-// defaults (utilities normalized, so scale 1).
-func RTHSFactory() SelectorFactory {
-	return func(_, numHelpers int, _ float64) (Selector, error) {
-		return regret.New(regret.Defaults(numHelpers, 1))
-	}
-}
-
 // LearnerFactory returns a factory producing regret learners from a base
 // config; NumActions is overridden per system.
 func LearnerFactory(base regret.Config) SelectorFactory {
@@ -131,7 +123,10 @@ type Config struct {
 	NumPeers int
 	// Helpers describes each helper's bandwidth process; len >= 1.
 	Helpers []HelperSpec
-	// Factory builds each peer's policy. Nil selects RTHSFactory.
+	// Factory builds each peer's policy. Nil gives every peer the paper's
+	// R2HS tracking learner with experiment defaults (utilities
+	// normalized, so scale 1), built directly in the system's learner
+	// arena.
 	Factory SelectorFactory
 	// Seed drives all randomness in the system.
 	Seed uint64
@@ -373,10 +368,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: Workers=%d", cfg.Workers)
 	}
-	factory := cfg.Factory
-	if factory == nil {
-		factory = RTHSFactory()
-	}
 	if cfg.UtilityScale < 0 {
 		return nil, fmt.Errorf("core: UtilityScale=%g", cfg.UtilityScale)
 	}
@@ -443,7 +434,13 @@ func New(cfg Config) (*System, error) {
 	s.arena.Reserve(cfg.NumPeers)
 
 	for i := 0; i < cfg.NumPeers; i++ {
-		sel, err := factory(i, s.NewPeerActions(), scale)
+		var sel Selector
+		var err error
+		if cfg.Factory == nil {
+			sel, err = s.newLearner()
+		} else {
+			sel, err = cfg.Factory(i, s.NewPeerActions(), scale)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: selector for peer %d: %w", i, err)
 		}
@@ -489,8 +486,21 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// adopt moves a joining peer's RTHS learner into the system arena (no-op
-// for non-learner policies, or when the arena is detached by tests).
+// newLearner builds the default RTHS learner for a joining peer, sized to
+// NewPeerActions: born in the next arena slot, so no private matrix is
+// allocated only to be copied in and dropped (private storage only when
+// a test has detached the arena).
+func (s *System) newLearner() (*regret.Learner, error) {
+	cfg := regret.Defaults(s.NewPeerActions(), 1)
+	if s.arena == nil {
+		return regret.New(cfg)
+	}
+	return s.arena.New(cfg)
+}
+
+// adopt moves a joining peer's factory-built RTHS learner into the system
+// arena (no-op for arena-born learners and non-learner policies, or when
+// the arena is detached by tests).
 func (s *System) adopt(p *peer) {
 	if s.arena != nil && p.lrn != nil {
 		s.arena.Adopt(p.lrn)
@@ -523,7 +533,8 @@ func (s *System) discard(p *peer) {
 func (s *System) LearnerArena() *regret.Arena { return s.arena }
 
 // rebuildObservers recomputes the cached StageObserver list from scratch
-// (construction and RemovePeer; AddPeer appends incrementally).
+// (construction, and RemovePeer of an observer; AddPeer appends
+// incrementally).
 func (s *System) rebuildObservers() {
 	s.observers = s.observers[:0]
 	for _, p := range s.peers {
@@ -1144,28 +1155,31 @@ func (s *System) Run(stages int, observe func(StageResult)) error {
 }
 
 // AddPeer joins a new peer mid-run using the given selector (nil builds the
-// default RTHS learner, sized to NewPeerActions). Returns the new peer's
-// index.
+// default RTHS learner, sized to NewPeerActions, in the system arena).
+// Returns the new peer's index. A rejected join changes nothing.
 func (s *System) AddPeer(sel Selector, demand float64) (int, error) {
 	if s.midStage {
 		return 0, errors.New("core: AddPeer during an open SelectStage/FinishStage pair (peer churn must happen between stages)")
 	}
-	if sel == nil {
-		var err error
-		sel, err = regret.New(regret.Defaults(s.NewPeerActions(), 1))
-		if err != nil {
-			return 0, err
-		}
-	}
-	if sel.NumActions() != s.NewPeerActions() {
-		return 0, fmt.Errorf("core: AddPeer selector has %d actions, want %d",
-			sel.NumActions(), s.NewPeerActions())
-	}
 	if demand < 0 {
 		return 0, fmt.Errorf("core: AddPeer demand %g", demand)
 	}
-	if err := s.checkViewCompatible(sel); err != nil {
-		return 0, fmt.Errorf("core: AddPeer: %w", err)
+	if sel == nil {
+		// Built only once every check has passed: an arena-born learner
+		// holds a slot from birth.
+		lrn, err := s.newLearner()
+		if err != nil {
+			return 0, fmt.Errorf("core: AddPeer: %w", err)
+		}
+		sel = lrn
+	} else {
+		if sel.NumActions() != s.NewPeerActions() {
+			return 0, fmt.Errorf("core: AddPeer selector has %d actions, want %d",
+				sel.NumActions(), s.NewPeerActions())
+		}
+		if err := s.checkViewCompatible(sel); err != nil {
+			return 0, fmt.Errorf("core: AddPeer: %w", err)
+		}
 	}
 	p := newPeer(sel, demand)
 	s.attachView(p)
@@ -1193,12 +1207,17 @@ func (s *System) RemovePeer(i int) error {
 	if i < 0 || i >= len(s.peers) {
 		return fmt.Errorf("core: RemovePeer(%d) with %d peers", i, len(s.peers))
 	}
-	s.discard(s.peers[i])
+	removed := s.peers[i]
+	s.discard(removed)
 	s.peers = append(s.peers[:i], s.peers[i+1:]...)
 	s.actions = s.actions[:len(s.peers)]
 	s.viewActions = s.viewActions[:len(s.peers)]
 	s.rates = s.rates[:len(s.peers)]
-	s.rebuildObservers()
+	// Only an observer's departure changes the observer list; skip the
+	// O(n) rescan for everyone else (the paper's pure-bandit peers).
+	if _, ok := removed.sel.(StageObserver); ok {
+		s.rebuildObservers()
+	}
 	return nil
 }
 

@@ -312,8 +312,21 @@ func TestPeerChurn(t *testing.T) {
 	if _, err := s.AddPeer(wrong, 0); err == nil {
 		t.Fatal("selector with wrong action count accepted")
 	}
+	// A removed peer's learner is destroyed with it: re-adding it must
+	// be rejected, not bound to an arena slot it never wrote.
+	dead := s.Selector(0)
+	if err := s.RemovePeer(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddPeer(dead, 0); err == nil {
+		t.Fatal("removed peer's learner re-added")
+	}
 	if _, err := s.AddPeer(nil, -2); err == nil {
 		t.Fatal("negative demand accepted")
+	}
+	// Rejected joins leave no arena slot behind.
+	if got, want := s.LearnerArena().Len(), s.NumPeers(); got != want {
+		t.Fatalf("arena holds %d slots for %d peers after rejected joins", got, want)
 	}
 }
 

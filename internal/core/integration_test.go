@@ -5,6 +5,7 @@ import (
 
 	"rths/internal/baseline"
 	"rths/internal/core"
+	"rths/internal/regret"
 )
 
 func extConfig(n, h int, seed uint64) core.Config {
@@ -100,4 +101,66 @@ func TestHelperChurnRequiresDynamicSelectors(t *testing.T) {
 	if err := s.RemoveHelper(0); err == nil {
 		t.Fatal("RemoveHelper with static selectors accepted")
 	}
+}
+
+// countingBR is a best-response peer that counts its stage notifications.
+type countingBR struct {
+	*baseline.BestResponse
+	seen int
+}
+
+func (c *countingBR) ObserveStage(res core.StageResult) {
+	c.seen++
+	c.BestResponse.ObserveStage(res)
+}
+
+// Departures keep the stage-observer list exact in a population mixing
+// best-response and RTHS peers: a removed observer hears no further
+// stages, and a removed learner leaves every remaining observer notified
+// exactly once per stage.
+func TestRemovePeerKeepsObserverList(t *testing.T) {
+	cfg := extConfig(6, 3, 5)
+	var observers []*countingBR
+	cfg.Factory = func(i, m int, _ float64) (core.Selector, error) {
+		if i%2 == 1 {
+			return regret.New(regret.Defaults(m, 1))
+		}
+		br, err := baseline.NewBestResponse(m)
+		if err != nil {
+			return nil, err
+		}
+		c := &countingBR{BestResponse: br}
+		observers = append(observers, c)
+		return c, nil
+	}
+	sys, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(want ...int) {
+		t.Helper()
+		for k, c := range observers {
+			if c.seen != want[k] {
+				t.Fatalf("observer %d saw %d stages, want %d", k, c.seen, want[k])
+			}
+		}
+	}
+	if err := sys.Run(10, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(10, 10, 10)
+	if err := sys.RemovePeer(1); err != nil { // a learner
+		t.Fatal(err)
+	}
+	if err := sys.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(15, 15, 15)
+	if err := sys.RemovePeer(0); err != nil { // observers[0]
+		t.Fatal(err)
+	}
+	if err := sys.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	check(15, 20, 20)
 }

@@ -1,13 +1,14 @@
 package regret
 
 // Arena is a struct-of-arrays store for resident learners: every adopted
-// Learner's proxy matrix and probability vector live in two contiguous
-// float64 slabs (one slot per learner), so a shard's select/feedback pass
-// walks dense memory instead of chasing per-learner heap allocations. The
-// Learner stays the owner of all scalar state (decay weight, stage, hot
-// constants); adoption only re-points its t/probs slice headers into the
-// slabs, which keeps Select/Update/recomputeProbs — and therefore the
-// realized trajectories — bit-identical to private-storage learners.
+// or arena-born (Arena.New) Learner's proxy matrix and probability vector
+// live in two contiguous float64 slabs (one slot per learner), so a
+// shard's select/feedback pass walks dense memory instead of chasing
+// per-learner heap allocations. The Learner stays the owner of all scalar
+// state (decay weight, stage, hot constants); residency only points its
+// t/probs slice headers into the slabs, which keeps
+// Select/Update/recomputeProbs — and therefore the realized trajectories
+// — bit-identical to private-storage learners.
 //
 // Slots are compacted on release (swap-with-last), so the slabs stay dense
 // under arbitrary join/leave churn: len(handles) live slots, no holes.
@@ -82,15 +83,43 @@ func (a *Arena) Adopt(l *Learner) {
 	if l.arena != nil {
 		panic("regret: Adopt of a learner resident in another arena")
 	}
+	t, probs := l.t, l.probs
+	a.place(l)
+	copy(l.t, t)
+	copy(l.probs, probs)
+}
+
+// New builds a fresh learner directly in the next free slot, with exactly
+// the state New followed by Adopt gives (zero proxy matrix, uniform
+// strategy, w = 1, no pending selection) but without the private matrix
+// and probability vector that Adopt would copy in and drop. The slot may
+// hold a previous occupant's bytes, so its live region is written in
+// full. Same config validation and defaults as the package New.
+func (a *Arena) New(cfg Config) (*Learner, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	l := &Learner{cfg: cfg, m: cfg.NumActions, w: 1, last: -1}
+	a.place(l)
+	clear(l.t)
+	for i := range l.probs {
+		l.probs[i] = 1 / float64(l.m)
+	}
+	l.sizeConstants()
+	return l, nil
+}
+
+// place makes l, sized l.m, resident in the next free slot (regrowing the
+// slabs if needed) and binds its slice headers there. The slot's previous
+// contents are left for the caller to overwrite.
+func (a *Arena) place(l *Learner) {
 	if l.m > a.capM {
 		a.growTo(l.m)
 	}
-	slot := len(a.handles)
-	a.ensureSlots(slot + 1)
-	copy(a.t[slot*a.tStride:], l.t)
-	copy(a.probs[slot*a.pStride:], l.probs)
+	l.arena, l.slot = a, len(a.handles)
+	a.ensureSlots(l.slot + 1)
 	a.handles = append(a.handles, l)
-	l.arena, l.slot = a, slot
 	a.bind(l)
 }
 
@@ -139,13 +168,15 @@ func (a *Arena) rebindAll() {
 
 // Discard releases a resident learner that is about to be destroyed: the
 // slot is compacted exactly like Release, but the state is not copied out
-// to fresh private storage — the learner's slices are nilled, leaving it
-// permanently unusable (Select/Update will panic). The peer-removal path
-// uses this: a removed peer's selector is dead by contract, and skipping
-// the copy-out keeps departure churn (including every cluster channel
-// switch, which is remove + fresh add) allocation-free on the departing
-// side. Discarding a non-resident learner only nils its slices; a learner
-// resident in a different arena panics.
+// to fresh private storage — the learner's slices are nilled and its
+// action count zeroed, leaving it permanently unusable: Select returns
+// -1, Update rejects every action, and NumActions reports 0, so a size
+// check against a live action set rejects it. The peer-removal path uses this: a
+// removed peer's selector is dead by contract, and skipping the copy-out
+// keeps departure churn (including every cluster channel switch, which is
+// remove + fresh add) allocation-free on the departing side. Discarding a
+// non-resident learner only nils its slices and zeroes its action count;
+// a learner resident in a different arena panics.
 func (a *Arena) Discard(l *Learner) {
 	if l.arena != nil {
 		if l.arena != a {
@@ -154,7 +185,7 @@ func (a *Arena) Discard(l *Learner) {
 		a.compact(l.slot)
 		l.arena, l.slot = nil, 0
 	}
-	l.t, l.probs = nil, nil
+	l.t, l.probs, l.m = nil, nil, 0
 }
 
 // compact frees the given slot by moving the last occupied slot's data

@@ -1,6 +1,7 @@
 package regret
 
 import (
+	"fmt"
 	"testing"
 
 	"rths/internal/xrand"
@@ -11,10 +12,12 @@ func arenaTestConfig(m int) Config {
 }
 
 // driveChurn replays the same select/update/churn trajectory on a learner
-// using a private RNG clone, returning the action-set size at the end.
-// Every 97 stages the action set churns (grow until 2·m0, then shrink),
-// so slot repacks, renormalizations and the lazy-decay fold all run many
-// times over the horizon.
+// using a private RNG clone. Every 97 stages the action set churns (grow
+// until 2·m0, then shrink), so slot repacks, renormalizations and the
+// lazy-decay fold all run many times over the horizon. Each churn event
+// makes several edits with no Update between them, so every edit after
+// the first runs at w == 1, and the removals hit index 0, index m−1 and
+// random indices.
 func driveChurn(t *testing.T, l *Learner, seed uint64, stages, m0 int) {
 	t.Helper()
 	r := xrand.New(seed)
@@ -22,7 +25,12 @@ func driveChurn(t *testing.T, l *Learner, seed uint64, stages, m0 int) {
 		if s > 0 && s%97 == 0 {
 			if l.NumActions() < 2*m0 {
 				l.AddAction()
+				l.AddAction()
+				l.RemoveAction(r.Intn(l.NumActions()))
 			} else {
+				l.RemoveAction(r.Intn(l.NumActions()))
+				l.RemoveAction(l.NumActions() - 1)
+				l.RemoveAction(0)
 				for l.NumActions() > m0 {
 					l.RemoveAction(r.Intn(l.NumActions()))
 				}
@@ -35,10 +43,34 @@ func driveChurn(t *testing.T, l *Learner, seed uint64, stages, m0 int) {
 	}
 }
 
+// sameState fails the test unless got holds exactly want's learner state.
+func sameState(t *testing.T, name string, want, got *Learner) {
+	t.Helper()
+	if want.m != got.m || want.stage != got.stage || want.last != got.last {
+		t.Fatalf("%s: shape diverged: m %d vs %d, stage %d vs %d, last %d vs %d",
+			name, want.m, got.m, want.stage, got.stage, want.last, got.last)
+	}
+	if want.w != got.w {
+		t.Fatalf("%s: decay weight diverged: %g vs %g", name, want.w, got.w)
+	}
+	for i := range want.t {
+		if want.t[i] != got.t[i] {
+			t.Fatalf("%s: t[%d] diverged: %g vs %g", name, i, want.t[i], got.t[i])
+		}
+	}
+	for i := range want.probs {
+		if want.probs[i] != got.probs[i] {
+			t.Fatalf("%s: probs[%d] diverged: %g vs %g", name, i, want.probs[i], got.probs[i])
+		}
+	}
+}
+
 // An arena-resident learner must realize the exact trajectory of its
-// private-storage twin: adoption moves bytes, never arithmetic. The churn
-// schedule grows the action set past the arena's initial capacity, so the
-// slot regrow path is exercised too.
+// private-storage twin: adoption moves bytes, never arithmetic. So must an
+// arena-born one (Arena.New), which starts in exactly New's state even in
+// a slot a previous occupant left dirty. The churn schedule grows the
+// action set past the arena's initial capacity, so the slot regrow path
+// is exercised too.
 func TestArenaResidentMatchesPrivate(t *testing.T) {
 	const stages = 1500
 	for _, m0 := range []int{3, 8} {
@@ -46,25 +78,44 @@ func TestArenaResidentMatchesPrivate(t *testing.T) {
 		resident := MustNew(arenaTestConfig(m0))
 		a := NewArena(m0) // deliberately tight: AddAction forces growTo
 		a.Adopt(resident)
+		dirty, err := a.New(arenaTestConfig(m0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveChurn(t, dirty, 7, 300, m0)
+		a.Discard(dirty)
+		born, err := a.New(arenaTestConfig(m0)) // reuses the dirty slot
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, fmt.Sprintf("m0=%d fresh born", m0), private, born)
 		driveChurn(t, private, 11, stages, m0)
 		driveChurn(t, resident, 11, stages, m0)
-		if private.m != resident.m || private.stage != resident.stage {
-			t.Fatalf("m0=%d: shape diverged: m %d vs %d, stage %d vs %d",
-				m0, private.m, resident.m, private.stage, resident.stage)
-		}
-		if private.w != resident.w {
-			t.Fatalf("m0=%d: decay weight diverged: %g vs %g", m0, private.w, resident.w)
-		}
-		for i := range private.t {
-			if private.t[i] != resident.t[i] {
-				t.Fatalf("m0=%d: t[%d] diverged: %g vs %g", m0, i, private.t[i], resident.t[i])
-			}
-		}
-		for i := range private.probs {
-			if private.probs[i] != resident.probs[i] {
-				t.Fatalf("m0=%d: probs[%d] diverged: %g vs %g", m0, i, private.probs[i], resident.probs[i])
-			}
-		}
+		driveChurn(t, born, 11, stages, m0)
+		sameState(t, fmt.Sprintf("m0=%d adopted", m0), private, resident)
+		sameState(t, fmt.Sprintf("m0=%d born", m0), private, born)
+	}
+}
+
+// Arena.New validates and defaults its config exactly like New.
+func TestArenaNewValidates(t *testing.T) {
+	a := NewArena(4)
+	bad := arenaTestConfig(4)
+	bad.StepSize = 0
+	if _, err := a.New(bad); err == nil {
+		t.Fatal("Arena.New accepted StepSize 0")
+	}
+	if a.Len() != 0 {
+		t.Fatalf("rejected Arena.New left %d slots", a.Len())
+	}
+	cfg := arenaTestConfig(4)
+	cfg.Mode = 0
+	l, err := a.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Mode() != ModeTracking || !a.Contains(l) {
+		t.Fatalf("Arena.New: mode %v, resident %v", l.Mode(), a.Contains(l))
 	}
 }
 
@@ -140,8 +191,8 @@ func TestArenaDiscardCompactsWithoutAllocating(t *testing.T) {
 			t.Fatalf("Discard allocates %g objects, want 0", got)
 		}
 		discarded[i] = true
-		if a.Contains(l) || l.t != nil || l.probs != nil {
-			t.Fatalf("learner %d still holds storage after Discard", i)
+		if a.Contains(l) || l.t != nil || l.probs != nil || l.NumActions() != 0 {
+			t.Fatalf("learner %d still holds storage or actions after Discard", i)
 		}
 	}
 	if want := n - len(discarded); a.Len() != want {

@@ -120,6 +120,15 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// normalize fills the config's defaults (Mode 0 is ModeTracking) and
+// validates the result — the shared front half of New and Arena.New.
+func (c Config) normalize() (Config, error) {
+	if c.Mode == 0 {
+		c.Mode = ModeTracking
+	}
+	return c, c.validate()
+}
+
 func (c Config) validate() error {
 	if c.NumActions <= 0 {
 		return fmt.Errorf("regret: NumActions=%d", c.NumActions)
@@ -190,10 +199,8 @@ const renormFloor = 1e-120
 // New builds a learner with a uniform initial strategy (Algorithm 1/2
 // initialization: random initial action, p⁰(a) = 1/|H|).
 func New(cfg Config) (*Learner, error) {
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeTracking
-	}
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.normalize()
+	if err != nil {
 		return nil, err
 	}
 	l := &Learner{cfg: cfg, last: -1}
@@ -449,19 +456,20 @@ func (l *Learner) materialize() {
 // AddAction grows the action set by one (a helper joined). The new action
 // starts with zero regret and immediately receives the exploration floor;
 // existing probabilities are rescaled to make room. Arena-resident
-// learners repack in place inside their slot (allocation-free unless the
-// arena must regrow); private learners reallocate. Both paths perform the
-// identical arithmetic, so the trajectories agree bit-for-bit.
+// learners repack in place inside their slot, folding the decay weight in
+// the same pass (allocation-free unless the arena must regrow); private
+// learners materialize, then reallocate. Both paths perform the identical
+// arithmetic, so the trajectories agree bit-for-bit.
 func (l *Learner) AddAction() {
 	m := l.m
 	nm := m + 1
 	if nm > maxActions {
 		panic(fmt.Sprintf("regret: AddAction beyond %d actions", maxActions))
 	}
-	l.materialize()
 	if l.arena != nil {
 		l.addActionArena(m, nm)
 	} else {
+		l.materialize()
 		l.addActionAlloc(m, nm)
 	}
 	l.m = nm
@@ -491,11 +499,13 @@ func (l *Learner) addActionAlloc(m, nm int) {
 }
 
 // addActionArena repacks the m×m matrix to (m+1)×(m+1) in place inside
-// the learner's slot: rows move backward (row j from offset j·m to
-// j·(m+1), descending j, so targets never overwrite unread sources) and
-// the new column/row are zeroed explicitly — the slot may hold stale
-// values from a previous occupant or repack. Same arithmetic as the
-// allocating path, no allocation.
+// the learner's slot, writing each stored entry times the decay weight —
+// the product materialize would compute — so the fold and the repack are
+// one pass (w == 1 multiplies exactly). Rows move backward (row j from
+// offset j·m to j·(m+1), descending j and descending column, so targets
+// never overwrite unread sources) and the new column/row are zeroed
+// explicitly — the slot may hold stale values from a previous occupant or
+// repack. Same arithmetic as the allocating path, no allocation.
 //
 //rths:hotpath
 func (l *Learner) addActionArena(m, nm int) {
@@ -504,14 +514,18 @@ func (l *Learner) addActionArena(m, nm int) {
 		a.growTo(nm) // cold: repacks the slab and rebinds l
 	}
 	t := l.t[:nm*nm]
+	w := l.w
 	for j := m - 1; j >= 0; j-- {
-		copy(t[j*nm:j*nm+m], t[j*m:j*m+m])
+		src := t[j*m : j*m+m]
+		dst := t[j*nm:][:len(src)]
+		for c := len(src) - 1; c >= 0; c-- {
+			dst[c] = src[c] * w
+		}
 		t[j*nm+m] = 0
 	}
-	for c := m * nm; c < nm*nm; c++ {
-		t[c] = 0
-	}
+	clear(t[m*nm:])
 	l.t = t
+	l.w = 1
 	floor := l.cfg.Exploration / float64(nm)
 	rescale := 1 - floor
 	p := l.probs[:nm]
@@ -532,12 +546,12 @@ func (l *Learner) RemoveAction(k int) {
 	if k < 0 || k >= l.m {
 		panic(fmt.Sprintf("regret: RemoveAction(%d) with m=%d", k, l.m))
 	}
-	l.materialize()
 	m := l.m
 	nm := m - 1
 	if l.arena != nil {
 		l.removeActionArena(k, m, nm)
 	} else {
+		l.materialize()
 		l.removeActionAlloc(k, m, nm)
 	}
 	l.m = nm
@@ -588,40 +602,46 @@ func (l *Learner) removeActionAlloc(k, m, nm int) {
 }
 
 // removeActionArena drops row/column k by repacking forward in place
-// inside the learner's slot: every target offset nj·nm+nc is ≤ its source
-// offset j·m+c and sources are consumed in increasing order, so nothing
-// is overwritten before it is read. The surviving probabilities are
-// compacted and renormalized in the same accumulation order as the
-// allocating path, so the arithmetic is bit-identical. No allocation.
+// inside the learner's slot, writing each stored entry times the decay
+// weight (the materialize product, so fold and repack are one pass; w == 1
+// multiplies exactly). Each surviving row is two whole segments, the
+// columns before k and the columns after it. Every target offset
+// nj·nm+nc is ≤ its source offset j·m+c and sources are consumed in
+// increasing order, so nothing is overwritten before it is read. The
+// surviving probabilities are compacted and renormalized in the same
+// accumulation order as the allocating path, so the arithmetic is
+// bit-identical. No allocation.
 //
 //rths:hotpath
 func (l *Learner) removeActionArena(k, m, nm int) {
 	t := l.t
+	w := l.w
 	for j, nj := 0, 0; j < m; j++ {
 		if j == k {
 			continue
 		}
-		for c, nc := 0, 0; c < m; c++ {
-			if c == k {
-				continue
-			}
-			t[nj*nm+nc] = t[j*m+c]
-			nc++
+		src := t[j*m : j*m+m]
+		dst := t[nj*nm : nj*nm+nm]
+		srcHead := src[:k]
+		head := dst[:len(srcHead)]
+		for c := range head {
+			head[c] = srcHead[c] * w
+		}
+		srcTail := src[k+1:]
+		tail := dst[k : k+len(srcTail)]
+		for c := range tail {
+			tail[c] = srcTail[c] * w
 		}
 		nj++
 	}
+	l.w = 1
 	p := l.probs
-	sum := 0.0
-	for i, nc := 0, 0; i < m; i++ {
-		if i == k {
-			continue
-		}
-		v := p[i]
-		p[nc] = v
-		sum += v
-		nc++
-	}
+	copy(p[k:m], p[k+1:m])
 	np := p[:nm]
+	sum := 0.0
+	for _, v := range np {
+		sum += v
+	}
 	if sum <= 0 {
 		for i := range np {
 			np[i] = 1 / float64(nm)
