@@ -228,13 +228,13 @@ func BenchmarkSequentialSystem(b *testing.B) {
 // benchHotPath measures the steady-state per-stage cost of System.Step —
 // construction excluded, so allocs/op is the per-stage allocation count
 // (pinned to 0 by TestStepZeroAllocs) and ns/op is the stage latency.
-func benchHotPath(b *testing.B, peers, helpers, workers int) {
+func benchHotPath(b *testing.B, peers, helpers int) {
 	specs := make([]rths.HelperSpec, helpers)
 	for j := range specs {
 		specs[j] = rths.DefaultHelperSpec()
 	}
 	sys, err := rths.NewSystem(rths.SystemConfig{
-		NumPeers: peers, Helpers: specs, Seed: 1, Workers: workers,
+		NumPeers: peers, Helpers: specs, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -258,11 +258,9 @@ func benchHotPath(b *testing.B, peers, helpers, workers int) {
 // scales; cmd/hotbench emits the same quantities to BENCH_hotpath.json so
 // the trajectory is recorded across PRs.
 func BenchmarkHotPathStep(b *testing.B) {
-	b.Run("N=10/H=4/seq", func(b *testing.B) { benchHotPath(b, 10, 4, 0) })
-	b.Run("N=1000/H=16/seq", func(b *testing.B) { benchHotPath(b, 1000, 16, 0) })
-	b.Run("N=1000/H=16/workers=8", func(b *testing.B) { benchHotPath(b, 1000, 16, 8) })
-	b.Run("N=100000/H=16/seq", func(b *testing.B) { benchHotPath(b, 100000, 16, 0) })
-	b.Run("N=100000/H=16/workers=8", func(b *testing.B) { benchHotPath(b, 100000, 16, 8) })
+	b.Run("N=10/H=4/seq", func(b *testing.B) { benchHotPath(b, 10, 4) })
+	b.Run("N=1000/H=16/seq", func(b *testing.B) { benchHotPath(b, 1000, 16) })
+	b.Run("N=100000/H=16/seq", func(b *testing.B) { benchHotPath(b, 100000, 16) })
 }
 
 // benchViewStep measures the partial-view stage engine at a fixed H=256
@@ -303,11 +301,12 @@ func BenchmarkViewStep(b *testing.B) {
 }
 
 // benchCluster measures the multi-channel cluster runtime end to end:
-// Markov-switching viewers, parallel channel stepping, and a re-allocation
-// boundary every epoch.
-func benchCluster(b *testing.B, channels, peers, helpers, workers int) {
+// Markov-switching viewers, channel stepping (on the derived channel pool
+// when GOMAXPROCS and the stage size allow), and a re-allocation boundary
+// every epoch.
+func benchCluster(b *testing.B, channels, peers, helpers int) {
 	sc := rths.ClusterSmall()
-	sc.Channels, sc.TotalPeers, sc.Helpers, sc.Workers = channels, peers, helpers, workers
+	sc.Channels, sc.TotalPeers, sc.Helpers = channels, peers, helpers
 	sc.EpochStages = 10
 	sc.FlashPeers = 0
 	cfg, err := sc.Build()
@@ -335,30 +334,6 @@ func benchCluster(b *testing.B, channels, peers, helpers, workers int) {
 // BenchmarkClusterEpoch tracks the cluster engine's throughput; the same
 // shapes are recorded to BENCH_hotpath.json by cmd/hotbench.
 func BenchmarkClusterEpoch(b *testing.B) {
-	b.Run("C=20/N=1000/H=40/seq", func(b *testing.B) { benchCluster(b, 20, 1000, 40, 0) })
-	b.Run("C=20/N=1000/H=40/workers=4", func(b *testing.B) { benchCluster(b, 20, 1000, 40, 4) })
-	b.Run("C=100/N=10000/H=150/workers=4", func(b *testing.B) { benchCluster(b, 100, 10000, 150, 4) })
-}
-
-// BenchmarkStressScenario runs the LargeScale-derived stress scenario end
-// to end (construction included) on the parallel engine.
-func BenchmarkStressScenario(b *testing.B) {
-	s := rths.StressScale()
-	s.NumPeers, s.NumHelpers, s.Stages = 2000, 32, 200
-	specs := make([]rths.HelperSpec, s.NumHelpers)
-	for j := range specs {
-		specs[j] = rths.HelperSpec{Levels: s.Levels, SwitchProb: s.SwitchProb, InitState: -1}
-	}
-	for i := 0; i < b.N; i++ {
-		sys, err := rths.NewSystem(rths.SystemConfig{
-			NumPeers: s.NumPeers, Helpers: specs, Seed: s.Seed, Workers: s.Workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Run(s.Stages, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(s.Stages)/b.Elapsed().Seconds(), "stages/sec")
+	b.Run("C=20/N=1000/H=40/seq", func(b *testing.B) { benchCluster(b, 20, 1000, 40) })
+	b.Run("C=100/N=10000/H=150", func(b *testing.B) { benchCluster(b, 100, 10000, 150) })
 }

@@ -8,15 +8,10 @@
 //
 // Usage:
 //
-//	hotbench [-out BENCH_hotpath.json] [-stages 200] [-repeat 1] [-full] [-cpu 1,0]
+//	hotbench [-out BENCH_hotpath.json] [-stages 200] [-repeat 1] [-full]
 //	hotbench -repeat 3 -baseline BENCH_hotpath.json -tolerance 0.20
 //
-// -cpu runs a multi-core sweep after the standard rounds: a comma-
-// separated list of GOMAXPROCS values (0 = all cores) at which the same
-// sharded workload is re-measured sequentially and with workers, at both
-// peer-level and channel-level sharding granularity; the speedup curves
-// land in the report's multi_core section. -full adds the N=100k
-// population and the 100-channel cluster (slow;
+// -full adds the N=100k population and the 100-channel cluster (slow;
 // several seconds per scenario). -baseline compares the fresh measurements
 // against a committed report and exits non-zero if any like-named
 // scenario's throughput regressed by more than -tolerance — the CI gate
@@ -36,8 +31,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"rths"
@@ -55,38 +48,19 @@ type Report struct {
 	Cluster    []ClusterResult  `json:"cluster"`
 	Distsim    []ScenarioResult `json:"distsim"`
 	Learner    []LearnerResult  `json:"learner_update"`
-	MultiCore  []MultiCoreRow   `json:"multi_core,omitempty"`
-}
-
-// MultiCoreRow is one -cpu sweep measurement: a fixed workload measured at
-// an explicit GOMAXPROCS value, sequential and sharded, at both sharding
-// granularities the engine offers — "peer" (one system's stage loop split
-// into worker shards) and "channel" (a cluster fanning whole channels out
-// to workers). SpeedupVsSeq divides the workers==0 row's ns/stage at the
-// same GOMAXPROCS, so the curve shows what the cores actually bought; a
-// row with gomaxprocs 1 documents the inline fallback (speedup ≈ 1, the
-// honest single-core figure, not a goroutine-scheduling artifact).
-type MultiCoreRow struct {
-	Name         string  `json:"name"`
-	Granularity  string  `json:"granularity"` // "peer" or "channel"
-	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Workers      int     `json:"workers"`
-	Channels     int     `json:"channels,omitempty"`
-	Peers        int     `json:"peers"`
-	NsPerStage   float64 `json:"ns_per_stage"`
-	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
 }
 
 // ClusterResult is one multi-channel cluster measurement (stage loop plus
 // re-allocation boundaries, scenario events included). NsPerStage is the
 // fastest of the -repeat rounds (the gate statistic); the mean/max fields
-// record the spread across rounds.
+// record the spread across rounds. GOMAXPROCS records the processor count
+// the row was measured under: the memory backend derives its channel
+// pool from it.
 type ClusterResult struct {
 	Name             string  `json:"name"`
 	Channels         int     `json:"channels"`
 	Peers            int     `json:"peers"`
 	Helpers          int     `json:"helpers"`
-	Workers          int     `json:"workers"`
 	GOMAXPROCS       int     `json:"gomaxprocs"`
 	FullOnly         bool    `json:"full_run_only,omitempty"`
 	Stages           int     `json:"stages"`
@@ -100,15 +74,11 @@ type ClusterResult struct {
 // ScenarioResult is one stage-engine measurement. NsPerStage and
 // AllocsPerStage are per-round minima (the gate and the allocation pin);
 // the mean/max fields record the spread across the -repeat rounds.
-// GOMAXPROCS records the processor count the row was measured under: a
-// workers>0 row taken at gomaxprocs 1 ran its shards inline (the engine's
-// honest single-core fallback), so the gate refuses to treat it as a
-// parallel measurement.
+// GOMAXPROCS records the processor count the row was measured under.
 type ScenarioResult struct {
 	Name               string  `json:"name"`
 	Peers              int     `json:"peers"`
 	Helpers            int     `json:"helpers"`
-	Workers            int     `json:"workers"`
 	GOMAXPROCS         int     `json:"gomaxprocs"`
 	ViewSize           int     `json:"view_size,omitempty"`
 	FullOnly           bool    `json:"full_run_only,omitempty"`
@@ -141,7 +111,6 @@ type scenarioSpec struct {
 	name     string
 	peers    int
 	helpers  int
-	workers  int
 	viewSize int  // 0 = full helper views
 	fullOnly bool // measured only with -full; excluded from the gate
 }
@@ -150,7 +119,6 @@ func defaultScenarios(full bool) []scenarioSpec {
 	specs := []scenarioSpec{
 		{name: "small-seq", peers: 10, helpers: 4},
 		{name: "mid-seq", peers: 1000, helpers: 16},
-		{name: "mid-workers8", peers: 1000, helpers: 16, workers: 8},
 		{name: "large-seq", peers: 20000, helpers: 16},
 		// The partial-view acceptance pair: the same H=256 pool with
 		// full-view learners (O(H²) state, O(H) updates) and with
@@ -161,10 +129,7 @@ func defaultScenarios(full bool) []scenarioSpec {
 		{name: "views-256h-v16", peers: 128, helpers: 256, viewSize: 16},
 	}
 	if full {
-		specs = append(specs,
-			scenarioSpec{name: "xlarge-seq", peers: 100000, helpers: 16, fullOnly: true},
-			scenarioSpec{name: "xlarge-workers8", peers: 100000, helpers: 16, workers: 8, fullOnly: true},
-		)
+		specs = append(specs, scenarioSpec{name: "xlarge-seq", peers: 100000, helpers: 16, fullOnly: true})
 	}
 	return specs
 }
@@ -181,7 +146,6 @@ func measureScenario(spec scenarioSpec, stages int) (ScenarioResult, error) {
 		NumPeers: spec.peers,
 		Helpers:  helpers,
 		Seed:     1,
-		Workers:  spec.workers,
 		ViewSize: spec.viewSize,
 	})
 	if err != nil {
@@ -212,7 +176,6 @@ func measureScenario(spec scenarioSpec, stages int) (ScenarioResult, error) {
 		Name:             spec.name,
 		Peers:            spec.peers,
 		Helpers:          spec.helpers,
-		Workers:          spec.workers,
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		ViewSize:         spec.viewSize,
 		FullOnly:         spec.fullOnly,
@@ -230,7 +193,6 @@ type clusterSpec struct {
 	channels  int
 	peers     int
 	helpers   int
-	workers   int
 	backend   rths.ClusterBackend
 	churn     bool // replay a generated churn trace through Cluster.Replay
 	faults    bool // run under the ClusterFaults lossy-link + fault plan
@@ -243,7 +205,6 @@ func defaultClusterScenarios(full bool) []clusterSpec {
 	specs := []clusterSpec{
 		{name: "cluster-small-seq", channels: 8, peers: 240, helpers: 16},
 		{name: "cluster-mid-seq", channels: 20, peers: 1000, helpers: 40},
-		{name: "cluster-mid-workers4", channels: 20, peers: 1000, helpers: 40, workers: 4},
 		// The distsim acceptance pair: the same 4-channel, N=1k deployment
 		// on the shared-memory backend and on the batched message-passing
 		// runtime. The distsim row must stay within ~5x of the memory row.
@@ -274,8 +235,8 @@ func defaultClusterScenarios(full bool) []clusterSpec {
 	}
 	if full {
 		specs = append(specs, clusterSpec{
-			name: "cluster-scale-workers4", channels: 100, peers: 10000, helpers: 150,
-			workers: 4, backend: rths.ClusterBackendMemory, fullOnly: true,
+			name: "cluster-scale", channels: 100, peers: 10000, helpers: 150,
+			backend: rths.ClusterBackendMemory, fullOnly: true,
 		})
 	}
 	return specs
@@ -293,7 +254,7 @@ func measureCluster(spec clusterSpec, stages int) (ClusterResult, error) {
 		// overrides below make the row comparable to cluster-4ch-distsim.
 		sc = rths.ClusterFaults()
 	}
-	sc.Channels, sc.TotalPeers, sc.Helpers, sc.Workers = spec.channels, spec.peers, spec.helpers, spec.workers
+	sc.Channels, sc.TotalPeers, sc.Helpers = spec.channels, spec.peers, spec.helpers
 	sc.Backend = spec.backend
 	sc.EpochStages = 25
 	sc.FlashPeers = 0
@@ -352,7 +313,6 @@ func measureCluster(spec clusterSpec, stages int) (ClusterResult, error) {
 		Channels:         spec.channels,
 		Peers:            spec.peers,
 		Helpers:          spec.helpers,
-		Workers:          spec.workers,
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		FullOnly:         spec.fullOnly,
 		Stages:           measured,
@@ -444,71 +404,6 @@ func measureLearner(m, iters int) (LearnerResult, error) {
 	}, nil
 }
 
-// multiCoreSweep measures the seq-vs-workers speedup curve at each listed
-// GOMAXPROCS value (already resolved: every entry >= 1), at both sharding
-// granularities over the same 4000-viewer audience:
-//
-//   - peer granularity: one system, the stage loop split into 4 worker
-//     shards (strided peer membership inside a single channel);
-//   - channel granularity: a 4-channel cluster of 1000 viewers each,
-//     whole channels fanned out to 4 workers.
-//
-// Each granularity is measured sequentially and sharded at every P, so
-// the rows answer two questions the committed report must keep honest:
-// what a core actually buys (SpeedupVsSeq at P>1), and what the sharded
-// configuration costs when the cores aren't there (the P=1 rows run
-// shards inline — SpeedupVsSeq ≈ 1 is the truthful answer, not a
-// goroutine-scheduling artifact). GOMAXPROCS is restored on return.
-func multiCoreSweep(cpus []int, stages int) ([]MultiCoreRow, error) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	var rows []MultiCoreRow
-	for _, p := range cpus {
-		runtime.GOMAXPROCS(p)
-		var peerSeq float64
-		for _, w := range []int{0, 4} {
-			res, err := measureScenario(scenarioSpec{
-				name: "mc-peer-4000", peers: 4000, helpers: 16, workers: w,
-			}, stages)
-			if err != nil {
-				return nil, err
-			}
-			row := MultiCoreRow{
-				Name: "mc-peer-4000", Granularity: "peer",
-				GOMAXPROCS: p, Workers: w, Peers: 4000,
-				NsPerStage: res.NsPerStage,
-			}
-			if w == 0 {
-				peerSeq = res.NsPerStage
-			} else if peerSeq > 0 {
-				row.SpeedupVsSeq = peerSeq / res.NsPerStage
-			}
-			rows = append(rows, row)
-		}
-		var chanSeq float64
-		for _, w := range []int{0, 4} {
-			res, err := measureCluster(clusterSpec{
-				name: "mc-channel-4x1000", channels: 4, peers: 4000, helpers: 16, workers: w,
-			}, stages)
-			if err != nil {
-				return nil, err
-			}
-			row := MultiCoreRow{
-				Name: "mc-channel-4x1000", Granularity: "channel",
-				GOMAXPROCS: p, Workers: w, Channels: 4, Peers: 4000,
-				NsPerStage: res.NsPerStage,
-			}
-			if w == 0 {
-				chanSeq = res.NsPerStage
-			} else if chanSeq > 0 {
-				row.SpeedupVsSeq = chanSeq / res.NsPerStage
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
 // buildReport runs every measurement; split from main so the test can
 // exercise the full pipeline with a trimmed budget. repeat > 1 runs the
 // whole measurement set that many times in interleaved rounds and keeps
@@ -518,9 +413,7 @@ func multiCoreSweep(cpus []int, stages int) ([]MultiCoreRow, error) {
 // cannot skew the *relative* shape the regression gate normalizes against.
 // The discarded rounds are not thrown away entirely: every row records the
 // min/mean/max spread of its ns and allocs figures across the rounds.
-// cpus, when non-empty, appends a single-round multi-core sweep (see
-// multiCoreSweep) after the repeated rounds.
-func buildReport(stages, repeat int, full bool, cpus []int) (*Report, error) {
+func buildReport(stages, repeat int, full bool) (*Report, error) {
 	if repeat < 1 {
 		repeat = 1
 	}
@@ -567,13 +460,6 @@ func buildReport(stages, repeat int, full bool, cpus []int) (*Report, error) {
 		}
 	}
 	finishSpreads(rep, repeat)
-	if len(cpus) > 0 {
-		rows, err := multiCoreSweep(cpus, stages)
-		if err != nil {
-			return nil, err
-		}
-		rep.MultiCore = rows
-	}
 	return rep, nil
 }
 
@@ -668,27 +554,6 @@ func writeReport(rep *Report, path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// parseCPUList parses the -cpu flag: a comma-separated list of GOMAXPROCS
-// values, 0 meaning "all cores on this box". An empty string disables the
-// sweep (returns nil).
-func parseCPUList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("-cpu: %q is not a non-negative GOMAXPROCS value", part)
-		}
-		if v == 0 {
-			v = runtime.NumCPU()
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func loadReport(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -710,38 +575,26 @@ func loadReport(path string) (*Report, error) {
 // overall machine-speed factor (a different CI runner, a throttled or
 // contended box) and gates only the relative shape of the cost model — a
 // regression specific to one path shows up, a uniformly slower machine
-// does not. Only sequential rows (workers == 0) are gated: on small or
-// contended hosts the workers>0 rows measure goroutine scheduling noise,
-// not engine throughput (see PERF.md).
+// does not.
 //
 // Name mismatches are hard failures, not skips: a fresh scenario missing
 // from the baseline, or a baseline scenario no longer measured, means a
 // rename or removal silently disabled that scenario's regression gate —
 // the failure message says to regenerate the committed baseline in the
 // same change that renames the scenario. Rows marked full_run_only are
-// outside the gate on both sides (like workers>0 rows), so a -full
-// measurement run can still be gated against the standard committed
-// baseline, and a baseline regenerated with -full still gates a standard
-// CI run.
-//
-// Parallel rows (workers > 0) get a second, softer gate: they are
-// compared — normalized by the same sequential geomeans — only when BOTH
-// sides measured them with real parallelism (gomaxprocs > 1 recorded on
-// the row). A workers>0 row taken at GOMAXPROCS=1 ran its shards inline,
-// so comparing it against a multi-core measurement would gate core
-// availability, not engine throughput; such rows, and rows absent on
-// either side, are skipped rather than failed (baselines written before
-// the per-row field decode gomaxprocs as 0 and are skipped the same way).
+// outside the gate on both sides, so a -full measurement run can still be
+// gated against the standard committed baseline, and a baseline
+// regenerated with -full still gates a standard CI run.
 func compareReports(fresh, baseline *Report, tolerance float64) []string {
 	index := func(rep *Report) map[string]float64 {
 		out := make(map[string]float64)
 		for _, s := range rep.Scenarios {
-			if s.Workers == 0 && !s.FullOnly {
+			if !s.FullOnly {
 				out[s.Name] = s.PeerStagesPerSec
 			}
 		}
 		for _, s := range rep.Cluster {
-			if s.Workers == 0 && !s.FullOnly {
+			if !s.FullOnly {
 				out[s.Name] = s.PeerStagesPerSec
 			}
 		}
@@ -794,39 +647,6 @@ func compareReports(fresh, baseline *Report, tolerance float64) []string {
 				name, cur[name], base[name], 100*(1-rel), 100*tolerance))
 		}
 	}
-	// The soft parallel gate: workers>0 rows, only when both sides carry a
-	// multi-core measurement (gomaxprocs > 1), normalized by the sequential
-	// geomeans above so the machine-speed factor still cancels.
-	indexPar := func(rep *Report) map[string]float64 {
-		out := make(map[string]float64)
-		for _, s := range rep.Scenarios {
-			if s.Workers > 0 && !s.FullOnly && s.GOMAXPROCS > 1 {
-				out[s.Name] = s.PeerStagesPerSec
-			}
-		}
-		for _, s := range rep.Cluster {
-			if s.Workers > 0 && !s.FullOnly && s.GOMAXPROCS > 1 {
-				out[s.Name] = s.PeerStagesPerSec
-			}
-		}
-		return out
-	}
-	pBase, pCur := indexPar(baseline), indexPar(fresh)
-	var parNames []string
-	for name, perf := range pCur {
-		if want, ok := pBase[name]; ok && want > 0 && perf > 0 {
-			parNames = append(parNames, name)
-		}
-	}
-	sort.Strings(parNames)
-	for _, name := range parNames {
-		rel := (pCur[name] / gCur) / (pBase[name] / gBase)
-		if rel < 1-tolerance {
-			fails = append(fails, fmt.Sprintf(
-				"%s (parallel): %.0f peer-stages/sec vs baseline %.0f (normalized %.1f%% below baseline shape, tolerance %.0f%%)",
-				name, pCur[name], pBase[name], 100*(1-rel), 100*tolerance))
-		}
-	}
 	return fails
 }
 
@@ -837,13 +657,7 @@ func main() {
 	repeat := flag.Int("repeat", 1, "measure each scenario N times and keep the fastest run")
 	baseline := flag.String("baseline", "", "committed report to gate against (empty disables)")
 	tolerance := flag.Float64("tolerance", 0.20, "max allowed throughput regression vs -baseline")
-	cpu := flag.String("cpu", "", "comma-separated GOMAXPROCS values for the multi-core sweep (0 = all cores; empty disables)")
 	flag.Parse()
-	cpus, err := parseCPUList(*cpu)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotbench:", err)
-		os.Exit(2)
-	}
 	if *stages <= 0 {
 		fmt.Fprintln(os.Stderr, "hotbench: -stages must be positive")
 		os.Exit(2)
@@ -856,7 +670,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hotbench: -tolerance must lie in (0,1)")
 		os.Exit(2)
 	}
-	rep, err := buildReport(*stages, *repeat, *full, cpus)
+	rep, err := buildReport(*stages, *repeat, *full)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotbench:", err)
 		os.Exit(1)
@@ -866,12 +680,12 @@ func main() {
 		os.Exit(1)
 	}
 	for _, s := range rep.Scenarios {
-		fmt.Printf("%-22s N=%-6d H=%-3d W=%-2d  %12.0f ns/stage  %10.0f peer-stages/sec  %6.2f allocs/stage\n",
-			s.Name, s.Peers, s.Helpers, s.Workers, s.NsPerStage, s.PeerStagesPerSec, s.AllocsPerStage)
+		fmt.Printf("%-22s N=%-6d H=%-3d  %12.0f ns/stage  %10.0f peer-stages/sec  %6.2f allocs/stage\n",
+			s.Name, s.Peers, s.Helpers, s.NsPerStage, s.PeerStagesPerSec, s.AllocsPerStage)
 	}
 	for _, s := range rep.Cluster {
-		fmt.Printf("%-22s C=%-4d N=%-6d H=%-3d W=%-2d  %10.0f ns/stage  %10.0f peer-stages/sec\n",
-			s.Name, s.Channels, s.Peers, s.Helpers, s.Workers, s.NsPerStage, s.PeerStagesPerSec)
+		fmt.Printf("%-22s C=%-4d N=%-6d H=%-3d  %10.0f ns/stage  %10.0f peer-stages/sec\n",
+			s.Name, s.Channels, s.Peers, s.Helpers, s.NsPerStage, s.PeerStagesPerSec)
 	}
 	for _, s := range rep.Distsim {
 		fmt.Printf("%-22s N=%-6d H=%-3d        %14.0f ns/stage  %10.0f peer-stages/sec  %6.2f allocs/stage\n",
@@ -879,14 +693,6 @@ func main() {
 	}
 	for _, l := range rep.Learner {
 		fmt.Printf("learner m=%-4d  %8.1f ns/update  %6.2f allocs/update\n", l.M, l.NsPerOp, l.AllocsPerOp)
-	}
-	for _, m := range rep.MultiCore {
-		speedup := "      (seq)"
-		if m.SpeedupVsSeq > 0 {
-			speedup = fmt.Sprintf("%6.2fx seq", m.SpeedupVsSeq)
-		}
-		fmt.Printf("%-22s %-8s P=%-2d W=%-2d N=%-6d  %12.0f ns/stage  %s\n",
-			m.Name, m.Granularity, m.GOMAXPROCS, m.Workers, m.Peers, m.NsPerStage, speedup)
 	}
 	fmt.Println("wrote", *out)
 	if *baseline != "" {

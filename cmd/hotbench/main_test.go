@@ -9,22 +9,21 @@ import (
 	"testing"
 )
 
-// The full pipeline must produce a parseable report whose scenarios cover
-// both engines, with the sequential stage loop allocation-free. Two
+// The full pipeline must produce a parseable report whose stage-engine
+// rows are all allocation-free. Two
 // rounds, because the allocation pin is the min across rounds: the
 // runtime performs rare one-time internal allocations (first collection
 // over a freshly grown heap, more so under -race) that can land in a
 // single measured window; the engine's own zero-alloc contract is pinned
 // exactly by AllocsPerRun tests in internal/core and internal/regret.
 func TestBuildAndWriteReport(t *testing.T) {
-	rep, err := buildReport(24, 2, false, nil)
+	rep, err := buildReport(24, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Scenarios) == 0 || len(rep.Learner) != 3 {
 		t.Fatalf("report shape: %d scenarios, %d learner points", len(rep.Scenarios), len(rep.Learner))
 	}
-	seenSeq, seenPar := false, false
 	for _, s := range rep.Scenarios {
 		if s.StagesPerSec <= 0 || s.NsPerStage <= 0 {
 			t.Fatalf("%s: non-positive throughput %+v", s.Name, s)
@@ -32,17 +31,9 @@ func TestBuildAndWriteReport(t *testing.T) {
 		if s.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 			t.Errorf("%s: row records gomaxprocs %d, measured under %d", s.Name, s.GOMAXPROCS, runtime.GOMAXPROCS(0))
 		}
-		if s.Workers == 0 {
-			seenSeq = true
-			if s.AllocsPerStage != 0 {
-				t.Errorf("%s: sequential engine allocates %g/stage, want 0", s.Name, s.AllocsPerStage)
-			}
-		} else {
-			seenPar = true
+		if s.AllocsPerStage != 0 {
+			t.Errorf("%s: stage engine allocates %g/stage, want 0", s.Name, s.AllocsPerStage)
 		}
-	}
-	if !seenSeq || !seenPar {
-		t.Fatalf("scenarios must cover both engines (seq=%v par=%v)", seenSeq, seenPar)
 	}
 	for _, l := range rep.Learner {
 		if l.NsPerOp <= 0 {
@@ -178,27 +169,24 @@ func TestCompareReportsGatesDistsim(t *testing.T) {
 	}
 }
 
-// The regression gate compares like-named sequential scenarios after
-// normalizing out the overall machine-speed factor.
+// The regression gate compares like-named scenarios after normalizing out
+// the overall machine-speed factor.
 func TestCompareReports(t *testing.T) {
 	base := &Report{
 		Scenarios: []ScenarioResult{
 			{Name: "small-seq", PeerStagesPerSec: 4000},
 			{Name: "mid-seq", PeerStagesPerSec: 1000},
-			{Name: "mid-workers8", Workers: 8, PeerStagesPerSec: 800},
 		},
 		Cluster: []ClusterResult{
 			{Name: "cluster-mid-seq", PeerStagesPerSec: 2000},
 		},
 	}
 	// A uniformly 2x slower machine with one path additionally ~40% slower:
-	// only that path must fail. The workers>0 row collapsing entirely must
-	// not matter (it is recorded, never gated).
+	// only that path must fail.
 	fresh := &Report{
 		Scenarios: []ScenarioResult{
 			{Name: "small-seq", PeerStagesPerSec: 2000},
 			{Name: "mid-seq", PeerStagesPerSec: 500},
-			{Name: "mid-workers8", Workers: 8, PeerStagesPerSec: 10},
 		},
 		Cluster: []ClusterResult{
 			{Name: "cluster-mid-seq", PeerStagesPerSec: 600}, // 2x machine + real regression
@@ -266,16 +254,6 @@ func TestCompareReportsNameMismatchHardFails(t *testing.T) {
 	if len(fails) != 2 {
 		t.Fatalf("fails = %v, want the two baseline rows tiny no longer measures", fails)
 	}
-	// workers>0 rows are outside the gate entirely: their names are free.
-	parOnly := &Report{Scenarios: []ScenarioResult{
-		{Name: "small-seq", PeerStagesPerSec: 4000},
-		{Name: "mid-seq", PeerStagesPerSec: 1000},
-		{Name: "retired", PeerStagesPerSec: 500},
-		{Name: "new-workers8", Workers: 8, PeerStagesPerSec: 10},
-	}}
-	if fails := compareReports(parOnly, base, 0.20); len(fails) != 0 {
-		t.Fatalf("ungated workers>0 row tripped the name check: %v", fails)
-	}
 	// full_run_only rows are likewise ungated in either direction: a -full
 	// run gates cleanly against the standard baseline, and a -full
 	// baseline gates a standard run.
@@ -290,117 +268,5 @@ func TestCompareReportsNameMismatchHardFails(t *testing.T) {
 	}
 	if fails := compareReports(base, fullRun, 0.20); len(fails) != 0 {
 		t.Fatalf("standard run tripped the gate against a -full baseline: %v", fails)
-	}
-}
-
-// Parallel rows are gated only when both sides measured them with real
-// parallelism: gomaxprocs > 1 recorded on the row on BOTH sides. A row
-// measured at GOMAXPROCS=1 ran its shards inline, and a baseline written
-// before the per-row field decodes as gomaxprocs 0 — both are skipped,
-// never compared and never hard-failed.
-func TestCompareReportsParallelGate(t *testing.T) {
-	seqRows := []ScenarioResult{
-		{Name: "small-seq", PeerStagesPerSec: 4000},
-		{Name: "mid-seq", PeerStagesPerSec: 1000},
-	}
-	base := &Report{Scenarios: append([]ScenarioResult{
-		{Name: "mid-workers8", Workers: 8, GOMAXPROCS: 8, PeerStagesPerSec: 3000},
-	}, seqRows...)}
-	// A genuine multi-core regression on both sides trips the soft gate.
-	fresh := &Report{Scenarios: append([]ScenarioResult{
-		{Name: "mid-workers8", Workers: 8, GOMAXPROCS: 8, PeerStagesPerSec: 1000},
-	}, seqRows...)}
-	fails := compareReports(fresh, base, 0.20)
-	if len(fails) != 1 || !strings.Contains(fails[0], "mid-workers8") || !strings.Contains(fails[0], "parallel") {
-		t.Fatalf("multi-core parallel regression not gated: %v", fails)
-	}
-	// The same slow row measured at GOMAXPROCS=1 is an inline-fallback
-	// measurement, not a parallel regression: skipped.
-	inline := &Report{Scenarios: append([]ScenarioResult{
-		{Name: "mid-workers8", Workers: 8, GOMAXPROCS: 1, PeerStagesPerSec: 1000},
-	}, seqRows...)}
-	if fails := compareReports(inline, base, 0.20); len(fails) != 0 {
-		t.Fatalf("single-core parallel row tripped the gate: %v", fails)
-	}
-	// An old baseline without the per-row field (decoded 0) never gates.
-	oldBase := &Report{Scenarios: append([]ScenarioResult{
-		{Name: "mid-workers8", Workers: 8, PeerStagesPerSec: 3000},
-	}, seqRows...)}
-	if fails := compareReports(fresh, oldBase, 0.20); len(fails) != 0 {
-		t.Fatalf("pre-field baseline tripped the parallel gate: %v", fails)
-	}
-	// A parallel row present on only one side is soft-skipped, not a name
-	// mismatch.
-	if fails := compareReports(fresh, &Report{Scenarios: seqRows}, 0.20); len(fails) != 0 {
-		t.Fatalf("one-sided parallel row hard-failed: %v", fails)
-	}
-}
-
-// The -cpu sweep must produce both granularities at every requested
-// GOMAXPROCS value, with speedup recorded on the workers rows and the
-// ambient GOMAXPROCS restored afterwards.
-func TestMultiCoreSweep(t *testing.T) {
-	before := runtime.GOMAXPROCS(0)
-	rows, err := multiCoreSweep([]int{1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runtime.GOMAXPROCS(0); got != before {
-		t.Fatalf("sweep leaked GOMAXPROCS=%d, want %d restored", got, before)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("sweep produced %d rows, want 4 (seq+workers at 2 granularities)", len(rows))
-	}
-	gran := map[string]int{}
-	for _, r := range rows {
-		gran[r.Granularity]++
-		if r.GOMAXPROCS != 1 {
-			t.Errorf("%s W=%d: gomaxprocs %d, want 1", r.Name, r.Workers, r.GOMAXPROCS)
-		}
-		if r.NsPerStage <= 0 {
-			t.Errorf("%s W=%d: non-positive ns/stage %g", r.Name, r.Workers, r.NsPerStage)
-		}
-		if r.Workers > 0 && r.SpeedupVsSeq <= 0 {
-			t.Errorf("%s W=%d: workers row missing speedup-vs-seq", r.Name, r.Workers)
-		}
-		if r.Workers == 0 && r.SpeedupVsSeq != 0 {
-			t.Errorf("%s: sequential row carries speedup %g", r.Name, r.SpeedupVsSeq)
-		}
-	}
-	if gran["peer"] != 2 || gran["channel"] != 2 {
-		t.Fatalf("granularity coverage %v, want 2 peer + 2 channel rows", gran)
-	}
-	// JSON round trip keeps the multi_core section.
-	rep := &Report{MultiCore: rows}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed Report
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed.MultiCore) != len(rows) {
-		t.Fatalf("multi_core lost in round trip: %d vs %d", len(parsed.MultiCore), len(rows))
-	}
-}
-
-// parseCPUList resolves 0 to all cores and rejects junk.
-func TestParseCPUList(t *testing.T) {
-	if got, err := parseCPUList(""); err != nil || got != nil {
-		t.Fatalf("empty list: %v, %v", got, err)
-	}
-	got, err := parseCPUList("1, 0,4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, runtime.NumCPU(), 4}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("parseCPUList = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"x", "-1", "1,,2"} {
-		if _, err := parseCPUList(bad); err == nil {
-			t.Errorf("parseCPUList(%q) accepted", bad)
-		}
 	}
 }

@@ -1,12 +1,12 @@
 // Command rths-cluster runs the multi-channel cluster runtime — many live
-// channels sharing one helper pool, sharded parallel stepping, and periodic
-// helper re-allocation epochs — and emits one JSON record per epoch on
+// channels sharing one helper pool, and periodic helper re-allocation
+// epochs — and emits one JSON record per epoch on
 // stdout (JSON lines), followed by a summary line on stderr.
 //
 // Usage:
 //
 //	rths-cluster -preset small
-//	rths-cluster -preset scale -workers 4 -epochs 8
+//	rths-cluster -preset scale -epochs 8
 //	rths-cluster -channels 20 -peers 2000 -helpers 40 -alloc greedy
 //	rths-cluster -preset small -backend distsim
 //	rths-cluster -preset churn
@@ -40,6 +40,7 @@
 // feed rths-trace's straggler ranking and are fully deterministic.
 // -trace-max-bytes caps the trace file; when the cap is hit the stream
 // ends with a single `truncated` record and later events are dropped.
+// Both flags shape the -trace file and are rejected without it.
 //
 // -view-size bounds every viewer's helper candidate view (the paper's
 // §III partial-view model): selection runs on at most that many helpers
@@ -62,11 +63,13 @@
 // stage, composing with the resident Markov switching, flash crowds and
 // re-allocation epochs — and emits the same per-epoch JSON records.
 //
-// A fixed (-seed) run is bit-reproducible for every -workers value: the
-// parallelism is across channels, which never share a random stream. With
-// -backend distsim the same scenario runs on the batched message-passing
-// runtime (one node per channel manager and per helper) and emits the
-// same metrics bit-for-bit — replayed workloads included.
+// A fixed (-seed) run is bit-reproducible on any host: the memory backend
+// steps channels on a pool only when the host has several cores and the
+// stage is big, and channels never share a random stream, so the pool
+// changes wall-clock time, never output. With -backend distsim the same
+// scenario runs on the batched message-passing runtime (one node per
+// channel manager and per helper) and emits the same metrics bit-for-bit
+// — replayed workloads included.
 package main
 
 import (
@@ -155,10 +158,17 @@ func run(args []string, out, errOut io.Writer) error {
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics server up this long after the run completes")
 	allocName := fs.String("alloc", "", "allocator: greedy, proportional or static")
 	backendName := fs.String("backend", "", "execution backend: memory or distsim")
-	workers := fs.Int("workers", -1, "override channel-stepping worker count")
 	seed := fs.Uint64("seed", 0, "override seed (0 keeps the preset's)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *tracePath == "" {
+		if *seriesEvery != 0 {
+			return fmt.Errorf("-series-every %d needs -trace: series records go to the trace file", *seriesEvery)
+		}
+		if *traceMaxBytes != 0 {
+			return fmt.Errorf("-trace-max-bytes %d needs -trace: it caps the trace file", *traceMaxBytes)
+		}
 	}
 
 	var sc rths.ClusterScenario
@@ -274,9 +284,6 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		sc.Backend = kind
 	}
-	if *workers >= 0 {
-		sc.Workers = *workers
-	}
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
@@ -362,8 +369,8 @@ func run(args []string, out, errOut io.Writer) error {
 		return encErr
 	}
 	fmt.Fprintf(errOut,
-		"cluster: %d channels × %d viewers, %d helpers, alloc=%v backend=%v workers=%d view=%d mode=%s | %d epochs × %d stages | moves=%d switches=%d joins=%d leaves=%d | final welfare_ratio=%.4f continuity=%.4f max_deficit=%.0f kbps\n",
-		c.NumChannels(), c.ActivePeers(), c.NumHelpers(), sc.Allocator, sc.Backend, sc.Workers, sc.ViewSize, mode,
+		"cluster: %d channels × %d viewers, %d helpers, alloc=%v backend=%v view=%d mode=%s | %d epochs × %d stages | moves=%d switches=%d joins=%d leaves=%d | final welfare_ratio=%.4f continuity=%.4f max_deficit=%.0f kbps\n",
+		c.NumChannels(), c.ActivePeers(), c.NumHelpers(), sc.Allocator, sc.Backend, sc.ViewSize, mode,
 		c.Epoch(), sc.EpochStages, moves, switches, joins, leaves, lastRatio, lastContinuity, lastMaxDef)
 	if evicted > 0 || readmitted > 0 || lateServed > 0 || lastDown > 0 {
 		fmt.Fprintf(errOut,

@@ -60,20 +60,6 @@ func TestRunSmallPresetEmitsEpochJSON(t *testing.T) {
 	}
 }
 
-func TestRunWorkersReproducible(t *testing.T) {
-	emit := func(workers string) string {
-		var out, errOut bytes.Buffer
-		err := run([]string{"-preset", "small", "-epochs", "2", "-workers", workers}, &out, &errOut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	if seq, par := emit("0"), emit("4"); seq != par {
-		t.Fatalf("worker count changed the metrics:\n%s\nvs\n%s", seq, par)
-	}
-}
-
 // TestRunBackendsBitIdentical is the CLI face of the acceptance criterion:
 // the batched message-passing backend must emit exactly the JSON the
 // shared-memory backend emits for the same preset (zero latency/drop).
@@ -194,15 +180,28 @@ func TestRunAllocators(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := run([]string{"-preset", "galactic"}, &out, &errOut); err == nil {
-		t.Fatal("unknown preset accepted")
-	}
-	if err := run([]string{"-alloc", "psychic"}, &out, &errOut); err == nil {
-		t.Fatal("unknown allocator accepted")
-	}
-	if err := run([]string{"-backend", "quantum"}, &out, &errOut); err == nil {
-		t.Fatal("unknown backend accepted")
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-preset", "galactic"}, "unknown preset"},
+		{[]string{"-alloc", "psychic"}, "unknown allocator"},
+		{[]string{"-backend", "quantum"}, "unknown backend"},
+		// The channel pool is derived from the host, not configured.
+		{[]string{"-workers", "4"}, "flag provided but not defined"},
+		// Trace-shaping flags without a trace would be silently dropped.
+		{[]string{"-series-every", "5"}, "-series-every 5 needs -trace"},
+		{[]string{"-trace-max-bytes", "1000"}, "-trace-max-bytes 1000 needs -trace"},
+		// The faults preset stripes 90 helpers over 3 domains: domain 9
+		// is empty, so the partition would cut nothing.
+		{[]string{"-preset", "faults", "-fault-partition-domain", "9"}, "partition domain 9 holds no helper"},
+		{[]string{"-preset", "faults", "-fault-domains", "1"}, "partition needs FaultDomains > 1"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(tc.args, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.wantErr)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rths/internal/baseline"
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "rths-sim:", err)
 		os.Exit(1)
 	}
@@ -65,7 +66,7 @@ func policyFactory(name string) (core.SelectorFactory, error) {
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("rths-sim", flag.ContinueOnError)
 	peers := fs.Int("peers", 10, "number of peers")
 	helpers := fs.Int("helpers", 4, "number of helpers")
@@ -74,10 +75,18 @@ func run(args []string) error {
 	policy := fs.String("policy", "rths",
 		"selection policy: rths, matching, paper-exact, best-response, random, egreedy, least-loaded, static")
 	demand := fs.Float64("demand", 0, "per-peer demand in kbps (0 disables server accounting)")
-	workers := fs.Int("workers", 0, "sharded parallel step engine worker count (0 = sequential)")
 	csv := fs.Bool("csv", false, "emit per-stage CSV instead of a summary")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *peers < 1 {
+		return fmt.Errorf("-peers must be at least 1, got %d", *peers)
+	}
+	if *helpers < 1 {
+		return fmt.Errorf("-helpers must be at least 1, got %d", *helpers)
+	}
+	if *stages < 1 {
+		return fmt.Errorf("-stages must be at least 1, got %d", *stages)
 	}
 
 	factory, err := policyFactory(*policy)
@@ -94,7 +103,6 @@ func run(args []string) error {
 		Factory:       factory,
 		Seed:          *seed,
 		DemandPerPeer: *demand,
-		Workers:       *workers,
 	})
 	if err != nil {
 		return err
@@ -129,21 +137,22 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
-		return nil
+		_, err = fmt.Fprint(w, out)
+		return err
 	}
 
-	tail := *stages / 2
-	fmt.Printf("policy:                 %s\n", *policy)
-	fmt.Printf("peers × helpers:        %d × %d, %d stages, seed %d\n", *peers, *helpers, *stages, *seed)
-	fmt.Printf("tail welfare:           %.1f kbps (%.2f%% of stage optimum)\n",
+	// The tail is the second half of the run, and at least its last stage.
+	tail := max(1, *stages/2)
+	fmt.Fprintf(w, "policy:                 %s\n", *policy)
+	fmt.Fprintf(w, "peers × helpers:        %d × %d, %d stages, seed %d\n", *peers, *helpers, *stages, *seed)
+	fmt.Fprintf(w, "tail welfare:           %.1f kbps (%.2f%% of stage optimum)\n",
 		welfare.TailMean(tail), 100*welfare.TailMean(tail)/optimum.TailMean(tail))
-	fmt.Printf("tail load CV:           %.4f\n", loadCV.TailMean(tail))
-	fmt.Printf("tail stage Jain:        %.4f\n", jain.TailMean(tail))
-	fmt.Printf("audited worst regret:   %.3f kbps\n", audit.WorstRegret())
-	fmt.Printf("audited mean regret:    %.3f kbps\n", audit.MeanRegret())
+	fmt.Fprintf(w, "tail load CV:           %.4f\n", loadCV.TailMean(tail))
+	fmt.Fprintf(w, "tail stage Jain:        %.4f\n", jain.TailMean(tail))
+	fmt.Fprintf(w, "audited worst regret:   %.3f kbps\n", audit.WorstRegret())
+	fmt.Fprintf(w, "audited mean regret:    %.3f kbps\n", audit.MeanRegret())
 	if *demand > 0 {
-		fmt.Printf("tail server load:       %.1f kbps\n", serverLoad.TailMean(tail))
+		fmt.Fprintf(w, "tail server load:       %.1f kbps\n", serverLoad.TailMean(tail))
 	}
 	return nil
 }

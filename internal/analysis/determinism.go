@@ -16,7 +16,8 @@ const NondeterminismOK = "nondeterminism-ok"
 
 // deterministicPkgs names the packages whose outputs must be
 // bit-reproducible for a fixed seed: equal (Config, Seed) must yield
-// identical welfare/continuity across Workers counts and backends.
+// identical welfare/continuity on any host, with the cluster's channel
+// pool on or off, and on both backends.
 // Matched by the last element of the package path.
 var deterministicPkgs = map[string]bool{
 	"core":    true,

@@ -31,8 +31,8 @@ func arenaChurnWorkload(t *testing.T, horizon int, seed uint64) *trace.Workload 
 // join/leave/switch events with partial views enabled must (a) keep every
 // channel's learner arena dense — exactly one occupied slot per resident
 // viewer, nothing leaked by departures or migrations — and (b) stay
-// bit-identical across Workers ∈ {1,2,4} and across the memory vs distsim
-// backends, so adoption/release/compaction provably never touches the
+// bit-identical inline, on the channel pool, and across the memory vs
+// distsim backends, so adoption/release/compaction provably never touches the
 // trajectory. (The companion 0-alloc pin for non-refresh stages lives at
 // the engine level in core's TestArenaDensityAndAllocsUnderChurn, where
 // the stage loop is the only moving part.)
@@ -45,11 +45,13 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 	if events < 10000 {
 		t.Fatalf("workload carries %d churn events, want >= 10000", events)
 	}
-	run := func(backend BackendKind, workers int) ([]EpochMetrics, *Cluster) {
-		cfg := viewsConfig(83, backend, 8, workers) // pool 48 >> view 8: views engaged
-		c, err := New(cfg)
+	run := func(backend BackendKind, procs int) ([]EpochMetrics, *Cluster) {
+		c, err := New(viewsConfig(83, backend, 8)) // pool 48 >> view 8: views engaged
 		if err != nil {
 			t.Fatal(err)
+		}
+		if backend == BackendMemory {
+			forcePool(t, c, procs)
 		}
 		w := arenaChurnWorkload(t, horizon, 29)
 		var out []EpochMetrics
@@ -58,16 +60,16 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		}
 		return out, c
 	}
-	checkDense := func(workers int, c *Cluster) {
+	checkDense := func(procs int, c *Cluster) {
 		b, ok := c.backend.(*memBackend)
 		if !ok {
-			t.Fatalf("workers=%d: expected memory backend", workers)
+			t.Fatalf("workers=%d: expected memory backend", procs)
 		}
 		for ci, st := range b.channels {
 			a := st.sys.LearnerArena()
 			if got, want := a.Len(), st.sys.NumPeers(); got != want {
 				t.Fatalf("workers=%d channel %d: arena holds %d slots for %d peers — departed viewers leaked",
-					workers, ci, got, want)
+					procs, ci, got, want)
 			}
 		}
 	}
@@ -84,17 +86,15 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		t.Fatalf("replay applied %d events, want >= 10000 (joins=%d leaves=%d switches=%d)",
 			joins+leaves+switches, joins, leaves, switches)
 	}
-	for _, workers := range []int{2, 4} {
-		got, c := run(BackendMemory, workers)
-		checkDense(workers, c)
-		c.Close()
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d epochs %d vs %d", workers, len(got), len(ref))
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got  %+v\n want %+v", workers, e, got[e], ref[e])
-			}
+	got, c := run(BackendMemory, 4)
+	checkDense(4, c)
+	c.Close()
+	if len(got) != len(ref) {
+		t.Fatalf("pool epochs %d vs %d", len(got), len(ref))
+	}
+	for e := range ref {
+		if got[e] != ref[e] {
+			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, got[e], ref[e])
 		}
 	}
 	dist, cd := run(BackendDistsim, 0)

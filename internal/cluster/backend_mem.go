@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rths/internal/core"
 	"rths/internal/distsim"
@@ -10,7 +12,7 @@ import (
 )
 
 // memChannel is one live channel's execution state on the shared-memory
-// backend. During the parallel stage phase exactly one worker touches a
+// backend. When the channel pool runs, exactly one worker steps a
 // channel, so the per-stage output slot needs no synchronization.
 type memChannel struct {
 	name    string
@@ -21,24 +23,38 @@ type memChannel struct {
 	err     error
 }
 
-// memBackend steps channels as shared-memory core.Systems, fanning out to
-// Workers goroutines (channel ci on worker ci mod Workers) when the pool
-// is enabled. Channels never share state within a stage, so the fan-out
-// has no effect on results — only on wall-clock.
+// poolMinWork is the stage size, in Σ over channels of viewers × actions
+// per viewer, from which the memory backend steps channels on its pool.
+// A viewer's select and update are O(actions), so the sum is PERF.md's
+// per-stage learner cost; below it the fan-out's goroutine wake-ups cost
+// more than a second core saves. It is the smallest measured shape where
+// two workers won at least 7 of 8 pairs (PERF.md "The channel pool").
+const poolMinWork = 16000
+
+// memBackend steps channels as shared-memory core.Systems. Channels never
+// share state within a stage, so stepping them on a pool changes only
+// wall-clock time, never results: the pool is derived, not configured.
+// It runs min(procs, channels) workers when procs > 1 and the stage
+// reaches poolMinWork, and steps channels inline otherwise.
 type memBackend struct {
 	channels []*memChannel
-	workers  int
 	factory  core.SelectorFactory
 	scale    float64
 	startup  float64
+	// procs is GOMAXPROCS captured at construction, so the execution mode
+	// stays stable if something adjusts GOMAXPROCS mid-run; minWork is
+	// poolMinWork. Tests override both to force either side of the gate.
+	procs   int
+	minWork int
 }
 
 func newMemBackend(cfg Config, assign []int, seeds []uint64, scale, startup float64) (*memBackend, error) {
 	b := &memBackend{
-		workers: cfg.Workers,
 		factory: cfg.Factory,
 		scale:   scale,
 		startup: startup,
+		procs:   runtime.GOMAXPROCS(0),
+		minWork: poolMinWork,
 	}
 	for ci, spec := range cfg.Channels {
 		var pool []core.HelperSpec
@@ -119,18 +135,43 @@ func (b *memBackend) removeHelper(ci, local, id int) error {
 	return b.channels[ci].sys.RemoveHelper(local)
 }
 
+// poolWorkers returns how many workers step the next stage: 0 (inline)
+// unless the gate passes.
+func (b *memBackend) poolWorkers() int {
+	w := min(b.procs, len(b.channels))
+	if w < 2 {
+		return 0
+	}
+	work := 0
+	for _, st := range b.channels {
+		work += st.sys.NumPeers() * st.sys.NewPeerActions()
+	}
+	if work < b.minWork {
+		return 0
+	}
+	return w
+}
+
 func (b *memBackend) step(out []stageData) error {
-	if b.workers > 1 && len(b.channels) >= b.workers {
-		var wg sync.WaitGroup
-		wg.Add(b.workers)
-		for k := 0; k < b.workers; k++ {
-			go func(k int) {
-				defer wg.Done()
-				for ci := k; ci < len(b.channels); ci += b.workers {
-					b.channels[ci].step(&out[ci])
-				}
-			}(k)
+	if w := b.poolWorkers(); w > 0 {
+		// Workers, the caller among them, claim the next unstepped
+		// channel, so one heavy channel never leaves the other workers a
+		// fixed share of idle time.
+		var next atomic.Int64
+		run := func() {
+			for ci := int(next.Add(1) - 1); ci < len(b.channels); ci = int(next.Add(1) - 1) {
+				b.channels[ci].step(&out[ci])
+			}
 		}
+		var wg sync.WaitGroup
+		wg.Add(w - 1)
+		for k := 1; k < w; k++ {
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		run()
 		wg.Wait()
 	} else {
 		for ci, st := range b.channels {
@@ -162,7 +203,7 @@ func (b *memBackend) roundProfile() (distsim.RoundProfile, float64, bool) {
 func (b *memBackend) close() error { return nil }
 
 // step advances one channel one stage and fills its per-stage output slot.
-// Runs on the worker pool; touches only this channel's state.
+// May run on a pool worker; touches only this channel's state.
 func (st *memChannel) step(out *stageData) {
 	res, err := st.sys.Step()
 	if err != nil {

@@ -489,18 +489,19 @@ func TestReplayFlushesPartialEpoch(t *testing.T) {
 // TestReplayBitIdenticalAcrossWorkersAndBackends is the acceptance
 // criterion: replaying one workload over the full scenario dynamics
 // (Markov switching, a flash crowd, re-allocation epochs) must produce
-// bit-identical per-epoch metrics for Workers ∈ {1, 2, 4} on the
-// shared-memory backend AND on the distsim backend at zero link loss.
+// bit-identical per-epoch metrics on the shared-memory backend inline and
+// on the channel pool, AND on the distsim backend at zero link loss.
 func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	const horizon = 80 // 4 epochs at EpochStages=20
-	run := func(backend BackendKind, workers int) []EpochMetrics {
-		cfg := fourChannelConfig(61, backend)
-		cfg.Workers = workers
-		c, err := New(cfg)
+	run := func(backend BackendKind, procs int) []EpochMetrics {
+		c, err := New(fourChannelConfig(61, backend))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		if backend == BackendMemory {
+			forcePool(t, c, procs)
+		}
 		w := churnWorkload(t, horizon, 17)
 		var out []EpochMetrics
 		if err := c.Replay(w, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
@@ -520,15 +521,13 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		t.Fatalf("replay scenario inert (joins=%d leaves=%d switches=%d moves=%d); parity not exercised",
 			joins, leaves, switches, moves)
 	}
-	for _, workers := range []int{2, 4} {
-		got := run(BackendMemory, workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d epochs %d vs %d", workers, len(got), len(ref))
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got %+v\nwant %+v", workers, e, got[e], ref[e])
-			}
+	pooled := run(BackendMemory, 4)
+	if len(pooled) != len(ref) {
+		t.Fatalf("pool epochs %d vs %d", len(pooled), len(ref))
+	}
+	for e := range ref {
+		if pooled[e] != ref[e] {
+			t.Fatalf("pool epoch %d diverges:\n pool   %+v\n inline %+v", e, pooled[e], ref[e])
 		}
 	}
 	dist := run(BackendDistsim, 0)

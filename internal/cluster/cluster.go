@@ -11,11 +11,11 @@
 //   - The stage loop steps every channel. Channels are independent systems
 //     with private RNG streams, so the director hands each stage to a
 //     pluggable execution backend: the shared-memory backend steps channels
-//     in parallel on a worker pool (channel ci belongs to shard ci mod
-//     Workers), the distsim backend runs them as message-passing nodes on
+//     inline, or on a channel pool it derives from GOMAXPROCS and the stage
+//     size; the distsim backend runs them as message-passing nodes on
 //     internal/distsim. Per-epoch aggregates are reduced in channel-index
-//     order either way, so results are bit-identical for every Workers
-//     value AND for both backends at zero link latency/drop (pinned by
+//     order either way, so results are bit-identical with the pool on or
+//     off AND on both backends at zero link latency/drop (pinned by
 //     TestDeterministicAcrossWorkers and TestDistsimBackendBitIdentical).
 //
 //   - The churn surface addresses viewers by global id: Join/Leave/Switch
@@ -23,7 +23,7 @@
 //     Replay/ReplayTotals drive a whole trace.Workload through the engine —
 //     each stage's events applied before the stage steps — so replayed
 //     workloads compose with flash crowds, Markov switching, re-allocation
-//     epochs, the Workers pool, and both backends (distsim executes the
+//     epochs, the channel pool, and both backends (distsim executes the
 //     ops as queued control messages applied at the next round).
 //
 //   - The epoch loop fires every EpochStages stages: per-channel demands
@@ -89,8 +89,9 @@ type BackendKind int
 
 // Execution backends.
 const (
-	// BackendMemory steps channels as shared-memory core.Systems on a
-	// worker pool; the default.
+	// BackendMemory steps channels as shared-memory core.Systems, on a
+	// channel pool when the host and the stage are big enough; the
+	// default.
 	BackendMemory BackendKind = iota
 	// BackendDistsim runs every channel as a manager node and every helper
 	// as its own node on the batched message-passing runtime
@@ -160,12 +161,6 @@ type Config struct {
 	// strict improvement triggers migration; ties never migrate, so a
 	// steady workload reaches a fixed assignment and stops churning.
 	Hysteresis float64
-	// Workers sizes the shared-memory backend's channel-stepping worker
-	// pool. Results are bit-identical for every Workers value: parallelism
-	// is across channels, which never share an RNG stream, and reductions
-	// run in channel order. 0 or 1 steps serially. Ignored by
-	// BackendDistsim (its parallelism is one goroutine per node).
-	Workers int
 	// Seed drives all randomness.
 	Seed uint64
 	// Factory builds selection policies (nil = RTHS learners). Policies
@@ -232,7 +227,7 @@ type Config struct {
 	// fault windows, view refreshes, viewer churn) as JSONL. Events are
 	// stamped with the stage clock, never wall time, and emitted by the
 	// director alone in a fixed order — a trace is byte-identical across
-	// equal-seed runs for every Workers value. The caller owns flushing
+	// equal-seed runs, with the channel pool on or off. The caller owns flushing
 	// (telemetry.Tracer.Flush) and the underlying writer.
 	Trace *telemetry.Tracer
 	// SeriesEvery > 0 emits periodic per-entity samples into Trace every
@@ -240,14 +235,15 @@ type Config struct {
 	// (active_peers, pool_helpers, welfare_ratio, continuity — ascending
 	// channel order) and per helper (assign, down — ascending helper id).
 	// All values are stage-clock-deterministic, so the trace stays
-	// byte-identical across equal-seed runs. 0 disables; requires Trace.
+	// byte-identical across equal-seed runs. 0 disables; a positive value
+	// without Trace is rejected.
 	SeriesEvery int
 }
 
 // EpochMetrics is the cluster's per-epoch observable — the JSON record
 // cmd/rths-cluster emits. All fields are reduced in channel-index order,
-// so a fixed Seed yields bit-identical values for every Workers count and
-// for both execution backends (at zero link latency/drop).
+// so a fixed Seed yields bit-identical values with the channel pool on or
+// off and on both execution backends (at zero link latency/drop).
 type EpochMetrics struct {
 	// Epoch is the 0-based epoch index; the epoch covers the Stages stages
 	// since the previous boundary. Stages equals Config.EpochStages except
@@ -499,9 +495,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.EpochStages < 0 {
 		return nil, fmt.Errorf("cluster: EpochStages=%d", cfg.EpochStages)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("cluster: Workers=%d", cfg.Workers)
-	}
 	if cfg.Hysteresis < 0 {
 		return nil, fmt.Errorf("cluster: Hysteresis=%g", cfg.Hysteresis)
 	}
@@ -523,6 +516,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.SeriesEvery < 0 {
 		return nil, fmt.Errorf("cluster: SeriesEvery=%d", cfg.SeriesEvery)
+	}
+	if cfg.SeriesEvery > 0 && cfg.Trace == nil {
+		return nil, fmt.Errorf("cluster: SeriesEvery=%d requires Trace", cfg.SeriesEvery)
 	}
 	if cfg.Link != nil && cfg.Backend != BackendDistsim {
 		return nil, errors.New("cluster: Link requires BackendDistsim")
@@ -595,7 +591,7 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Director bookkeeping. The RNG budget is drawn in a fixed order
 	// (viewer stream first, then one seed per channel), so construction is
-	// reproducible and independent of both Workers and the backend choice.
+	// reproducible and independent of the backend choice.
 	master := xrand.New(cfg.Seed)
 	c.viewerRng = master.Split()
 	seeds := make([]uint64, len(cfg.Channels))
@@ -1439,8 +1435,8 @@ func (c *Cluster) Apply(e trace.Event) error {
 // observed. A trailing partial epoch is flushed with Stages set to its
 // actual length. Events beyond the horizon are dropped (the
 // trace.Workload.PerStage contract), so a short replay simply truncates
-// the workload. Metrics are bit-identical for every Workers value and for
-// both backends at zero link latency/drop.
+// the workload. Metrics are bit-identical with the channel pool on or off
+// and on both backends at zero link latency/drop.
 func (c *Cluster) Replay(w *trace.Workload, horizon int, observe func(EpochMetrics)) error {
 	perStage := w.PerStage(horizon)
 	for s := 0; s < horizon; s++ {

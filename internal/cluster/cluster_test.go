@@ -32,7 +32,6 @@ func TestNewValidation(t *testing.T) {
 		{"no channels", func(c *Config) { c.Channels = nil }},
 		{"fewer helpers than channels", func(c *Config) { c.Helpers = c.Helpers[:3] }},
 		{"negative epoch stages", func(c *Config) { c.EpochStages = -1 }},
-		{"negative workers", func(c *Config) { c.Workers = -1 }},
 		{"negative hysteresis", func(c *Config) { c.Hysteresis = -1 }},
 		{"negative startup", func(c *Config) { c.StartupStages = -1 }},
 		{"unknown allocator", func(c *Config) { c.Allocator = AllocatorKind(99) }},
@@ -41,6 +40,7 @@ func TestNewValidation(t *testing.T) {
 		{"helper without levels", func(c *Config) { c.Helpers[0].Levels = nil }},
 		{"flash channel out of range", func(c *Config) { c.Flash = []FlashCrowd{{Stage: 0, Channel: 9}} }},
 		{"flash negative stage", func(c *Config) { c.Flash = []FlashCrowd{{Stage: -1, Channel: 0}} }},
+		{"series without trace", func(c *Config) { c.SeriesEvery = 5 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -255,53 +255,86 @@ func TestMembershipConservedUnderSwitching(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkers pins the cluster's stronger-than-core
-// contract: the worker count affects wall-clock only. Every per-epoch
-// metric must be bit-identical for Workers ∈ {1, 2, 4}, across epochs that
-// include viewer switching, a flash crowd, and helper re-allocation.
+// forcePool pins c's channel pool whatever the host and the stage size:
+// procs <= 1 steps channels inline, procs > 1 runs min(procs, channels)
+// workers from the next stage on. Only the memory backend has a pool.
+func forcePool(t *testing.T, c *Cluster, procs int) {
+	t.Helper()
+	b, ok := c.backend.(*memBackend)
+	if !ok {
+		t.Fatalf("forcePool on %T", c.backend)
+	}
+	b.procs, b.minWork = procs, 0
+	if want := min(procs, len(b.channels)); want > 1 && b.poolWorkers() != want {
+		t.Fatalf("forced pool runs %d workers, want %d", b.poolWorkers(), want)
+	}
+}
+
+// TestDeterministicAcrossWorkers pins the cluster's determinism contract:
+// the channel pool affects wall-clock only. The pool's width is
+// derived from the host (min(GOMAXPROCS, channels)), so every per-epoch
+// metric must be bit-identical inline and on 2 and 4 workers, across
+// epochs with viewer switching, a flash crowd, replayed churn, partial
+// views and helper re-allocation.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []EpochMetrics {
+	const horizon = 100 // 5 epochs at EpochStages=20
+	wl := churnWorkload(t, horizon, 29)
+	run := func(procs int) []EpochMetrics {
 		cfg := smallConfig(17)
-		cfg.Workers = workers
+		cfg.ViewSize = 2
+		cfg.ViewRefresh = 10
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		forcePool(t, c, procs)
 		var out []EpochMetrics
-		if err := c.Run(4, func(m EpochMetrics) { out = append(out, m) }); err != nil {
+		if err := c.Replay(wl, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
 			t.Fatal(err)
+		}
+		viewed := 0
+		for _, st := range c.backend.(*memBackend).channels {
+			if st.sys.NumPeers() > 0 && st.sys.PeerView(0) != nil {
+				viewed++
+			}
+		}
+		if viewed == 0 {
+			t.Fatal("no channel engaged partial views; determinism test does not cover views")
 		}
 		return out
 	}
 	ref := run(1)
-	moved := 0
+	var moved, joins, leaves int
 	for _, m := range ref {
 		moved += m.Moves
+		joins += m.Joins
+		leaves += m.Leaves
 	}
-	if moved == 0 {
-		t.Fatal("scenario never re-allocated; determinism test does not cover migration")
+	if moved == 0 || joins == 0 || leaves == 0 {
+		t.Fatalf("scenario inert (moves=%d joins=%d leaves=%d); determinism test does not cover migration and churn",
+			moved, joins, leaves)
 	}
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
 		if len(got) != len(ref) {
-			t.Fatalf("workers=%d epochs %d vs %d", workers, len(got), len(ref))
+			t.Fatalf("workers=%d epochs %d vs %d", procs, len(got), len(ref))
 		}
 		for e := range ref {
 			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got %+v\nwant %+v", workers, e, got[e], ref[e])
+				t.Fatalf("workers=%d epoch %d diverges:\n got %+v\nwant %+v", procs, e, got[e], ref[e])
 			}
 		}
 	}
 }
 
 // TestScaleDeterminism is the acceptance-scale run: 100 channels × 10k
-// total viewers stepped with Workers=4 must reproduce the Workers=1
+// total viewers stepped on the channel pool must reproduce the inline
 // metrics bit-for-bit, including across a re-allocation epoch.
 func TestScaleDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance-scale run")
 	}
-	build := func(workers int) *Cluster {
+	build := func(procs int) *Cluster {
 		specs, err := ZipfChannels(100, 10000, 0.8, 300)
 		if err != nil {
 			t.Fatal(err)
@@ -311,13 +344,13 @@ func TestScaleDeterminism(t *testing.T) {
 			Helpers:     UniformHelpers(150, core.DefaultHelperSpec()),
 			EpochStages: 10,
 			Seed:        7,
-			Workers:     workers,
 			Switching:   &SwitchingConfig{SwitchProb: 0.02, ZipfS: 0.8},
 			Flash:       []FlashCrowd{{Stage: 5, Channel: 90, Peers: 500}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		forcePool(t, c, procs)
 		return c
 	}
 	seq := build(1)

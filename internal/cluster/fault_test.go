@@ -86,16 +86,14 @@ func TestFaultConfigValidation(t *testing.T) {
 	})
 }
 
-// TestFaultRunBitIdenticalAcrossWorkers pins that the full fault stack —
-// lossy queueing links, crash, partition, detector-driven eviction and
-// readmission — replays bit-identically for every Workers value: the
-// fault plan consumes no randomness and the detector only reads the
-// deterministic reply ledger.
-func TestFaultRunBitIdenticalAcrossWorkers(t *testing.T) {
-	run := func(workers int) []EpochMetrics {
-		cfg := faultConfig(211, true)
-		cfg.Workers = workers
-		c, err := New(cfg)
+// TestFaultRunReproducible pins that the full fault stack — lossy
+// queueing links, crash, partition, detector-driven eviction and
+// readmission — replays bit-identically from equal seeds: the fault plan
+// consumes no randomness and the detector only reads the deterministic
+// reply ledger.
+func TestFaultRunReproducible(t *testing.T) {
+	run := func() []EpochMetrics {
+		c, err := New(faultConfig(211, true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +104,7 @@ func TestFaultRunBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(0)
+	ref := run()
 	evicted, readmitted, late := 0, 0, 0
 	for _, m := range ref {
 		evicted += m.Evicted
@@ -117,15 +115,13 @@ func TestFaultRunBitIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatalf("scenario inert (evicted=%d readmitted=%d late_served=%d); parity test does not cover the fault machinery",
 			evicted, readmitted, late)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		got := run(workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: epoch counts differ: %d vs %d", workers, len(got), len(ref))
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got  %+v\n want %+v", workers, e, got[e], ref[e])
-			}
+	got := run()
+	if len(got) != len(ref) {
+		t.Fatalf("epoch counts differ: %d vs %d", len(got), len(ref))
+	}
+	for e := range ref {
+		if got[e] != ref[e] {
+			t.Fatalf("epoch %d diverges:\n got  %+v\n want %+v", e, got[e], ref[e])
 		}
 	}
 }

@@ -156,7 +156,7 @@ func newClusterTelemetry(reg *telemetry.Registry, channelNames []string, helpers
 }
 
 // observeStage folds one stage's per-channel scratch into the counters
-// — the deterministic merge point: workers filled scratch[ci] locally,
+// — the deterministic merge point: each channel's step filled scratch[ci],
 // the director reduces in channel-index order. Only called when enabled.
 func (t *clusterTelemetry) observeStage(scratch []stageData, activePeers int) {
 	var msgs, batches, lost, late, served, fault, swaps uint64

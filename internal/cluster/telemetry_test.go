@@ -27,23 +27,30 @@ func runEpochs(t *testing.T, cfg Config, epochs int) []EpochMetrics {
 }
 
 // Telemetry must never perturb the run: with instruments and tracing on,
-// every epoch record is bit-identical to the uninstrumented run, for
-// every worker count and on both backends.
+// every epoch record is bit-identical to the uninstrumented run, inline
+// and on the channel pool, and on both backends.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	const epochs = 3
 	t.Run("memory workers", func(t *testing.T) {
 		base := runEpochs(t, fourChannelConfig(11, BackendMemory), epochs)
-		for _, workers := range []int{1, 2, 4} {
+		for _, procs := range []int{1, 4} {
 			cfg := fourChannelConfig(11, BackendMemory)
-			cfg.Workers = workers
 			cfg.Metrics = telemetry.NewRegistry()
 			cfg.Trace = telemetry.NewTracer(&bytes.Buffer{})
 			cfg.SeriesEvery = 5
-			got := runEpochs(t, cfg, epochs)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forcePool(t, c, procs)
+			var got []EpochMetrics
+			if err := c.Run(epochs, func(m EpochMetrics) { got = append(got, m) }); err != nil {
+				t.Fatal(err)
+			}
 			for e := range base {
 				if got[e] != base[e] {
 					t.Fatalf("workers=%d epoch %d diverged with telemetry on:\n  on:  %+v\n  off: %+v",
-						workers, e, got[e], base[e])
+						procs, e, got[e], base[e])
 				}
 			}
 		}

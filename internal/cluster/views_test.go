@@ -12,22 +12,20 @@ import (
 // viewsConfig is the fourChannelConfig shape with enough helpers that
 // every channel's pool exceeds the view bound, so partial views engage in
 // every channel.
-func viewsConfig(seed uint64, backend BackendKind, viewSize, workers int) Config {
+func viewsConfig(seed uint64, backend BackendKind, viewSize int) Config {
 	cfg := fourChannelConfig(seed, backend)
 	cfg.Helpers = UniformHelpers(48, core.DefaultHelperSpec())
 	cfg.ViewSize = viewSize
 	cfg.ViewRefresh = 10
-	cfg.Workers = workers
 	return cfg
 }
 
 // The satellite equivalence pin at the cluster level: ViewSize=0 and any
 // ViewSize at or above every channel's pool are the same engine,
-// bit-for-bit, for Workers ∈ {1,2,4} and on both backends.
+// bit-for-bit, on both backends.
 func TestClusterViewEquivalenceFullView(t *testing.T) {
-	run := func(backend BackendKind, viewSize, workers int) []EpochMetrics {
-		cfg := viewsConfig(33, backend, viewSize, workers)
-		c, err := New(cfg)
+	run := func(backend BackendKind, viewSize int) []EpochMetrics {
+		c, err := New(viewsConfig(33, backend, viewSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,34 +36,34 @@ func TestClusterViewEquivalenceFullView(t *testing.T) {
 		}
 		return out
 	}
-	base := run(BackendMemory, 0, 1)
-	for _, workers := range []int{1, 2, 4} {
-		for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
-			// 48 is the whole pool, so no channel's pool can exceed it.
-			got := run(backend, 48, workers)
-			for e := range base {
-				if got[e] != base[e] {
-					t.Fatalf("backend=%v workers=%d epoch %d diverges:\n got  %+v\n want %+v",
-						backend, workers, e, got[e], base[e])
-				}
+	base := run(BackendMemory, 0)
+	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+		// 48 is the whole pool, so no channel's pool can exceed it.
+		got := run(backend, 48)
+		for e := range base {
+			if got[e] != base[e] {
+				t.Fatalf("backend=%v epoch %d diverges:\n got  %+v\n want %+v", backend, e, got[e], base[e])
 			}
 		}
 	}
 }
 
 // With partial views engaged (ViewSize below the pool sizes) the two
-// backends and every Workers value must still agree bit-for-bit: view
+// backends, inline and pooled stepping must still agree bit-for-bit: view
 // sampling and refresh run on per-peer streams inside each channel's
-// system, so neither the worker pool nor the message-passing runtime can
+// system, so neither the channel pool nor the message-passing runtime can
 // perturb them. The scenario keeps switching, a flash crowd and
 // re-allocation epochs on, so views compose with every churn source.
 func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
-	run := func(backend BackendKind, workers int) []EpochMetrics {
-		c, err := New(viewsConfig(101, backend, 4, workers))
+	run := func(backend BackendKind, procs int) []EpochMetrics {
+		c, err := New(viewsConfig(101, backend, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		if backend == BackendMemory {
+			forcePool(t, c, procs)
+		}
 		var out []EpochMetrics
 		if err := c.Run(4, func(m EpochMetrics) { out = append(out, m) }); err != nil {
 			t.Fatal(err)
@@ -81,12 +79,10 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	if moves == 0 || switches == 0 {
 		t.Fatalf("scenario inert (moves=%d switches=%d); parity test does not cover view-aware migration", moves, switches)
 	}
-	for _, workers := range []int{2, 4} {
-		got := run(BackendMemory, workers)
-		for e := range base {
-			if got[e] != base[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got  %+v\n want %+v", workers, e, got[e], base[e])
-			}
+	pooled := run(BackendMemory, 4)
+	for e := range base {
+		if pooled[e] != base[e] {
+			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, pooled[e], base[e])
 		}
 	}
 	dist := run(BackendDistsim, 0)
@@ -102,7 +98,7 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 func TestClusterPartialViewsReplayBitIdentical(t *testing.T) {
 	w := churnWorkload(t, 80, 12)
 	run := func(backend BackendKind) []EpochMetrics {
-		c, err := New(viewsConfig(55, backend, 4, 0))
+		c, err := New(viewsConfig(55, backend, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

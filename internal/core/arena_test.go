@@ -74,29 +74,21 @@ func driveChurnStages(t *testing.T, s *System, seed uint64, stages int) []float6
 // The arena engine must be bit-identical to the pre-refactor engine: the
 // same config run with learners resident in the arena and with learners
 // on private heap storage (detachArena) realizes the same trajectory,
-// stage for stage, across Workers values, with views off and on, under
-// peer and helper churn. The struct-of-arrays refactor moves bytes, never
-// arithmetic.
+// stage for stage, with views off and on, under peer and helper churn.
+// The struct-of-arrays refactor moves bytes, never arithmetic.
 func TestArenaEngineBitIdenticalToPrivate(t *testing.T) {
 	const stages = 1200
 	for _, tc := range []struct {
 		name     string
 		viewSize int
-		workers  int
 	}{
-		{"full-view-seq", 0, 0},
-		{"full-view-w1", 0, 1},
-		{"full-view-w2", 0, 2},
-		{"full-view-w4", 0, 4},
-		{"views-seq", 6, 0},
-		{"views-w2", 6, 2},
-		{"views-w4", 6, 4},
+		{"full-view-seq", 0},
+		{"views-seq", 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() *System {
 				cfg := defaultConfig(48, 12, 91)
 				cfg.DemandPerPeer = 500
-				cfg.Workers = tc.workers
 				cfg.ViewSize = tc.viewSize
 				cfg.ViewRefresh = 20
 				s, err := New(cfg)

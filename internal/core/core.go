@@ -16,8 +16,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"rths/internal/markov"
 	"rths/internal/regret"
@@ -133,15 +131,6 @@ type Config struct {
 	// DemandPerPeer is each peer's streaming demand in kbps, used by the
 	// server-load accounting (Fig 5). Zero disables demand tracking.
 	DemandPerPeer float64
-	// Workers enables the sharded parallel step engine: peers are strided
-	// across Workers shards, each with its own deterministic RNG stream,
-	// and the per-stage select/feedback passes run on a shard-per-worker
-	// pool once the population is large enough to amortize the fan-out.
-	// 0 or 1 selects the sequential engine. Results are deterministic and
-	// seed-reproducible for a fixed (Seed, Workers) pair; different Workers
-	// values consume different RNG streams and therefore realize different
-	// (statistically equivalent) trajectories.
-	Workers int
 	// UtilityScale overrides the utility normalization constant (by default
 	// the maximum level across the configured helpers). Systems that
 	// exchange helpers at runtime — the multi-channel cluster — set one
@@ -169,14 +158,14 @@ type Config struct {
 	// view to ViewSize helpers and swaps its lowest-probability in-view
 	// helper for a uniformly sampled unseen one, through the selector's
 	// AddAction/RemoveAction churn seam on the peer's own RNG stream (so
-	// results are independent of Workers and identical on every backend).
-	// 0 selects DefaultViewRefresh; negative disables refresh. Ignored
-	// when partial views are not engaged.
+	// results are identical on every backend). 0 selects
+	// DefaultViewRefresh; negative disables refresh. Ignored when partial
+	// views are not engaged.
 	ViewRefresh int
 	// Instruments is the optional per-engine telemetry seam: when non-nil
 	// the stage loop observes select/feedback phase wall time and counts
 	// stages and view swaps into it. Each engine must own its own set (a
-	// cluster's shards update them concurrently). Nil disables the seam at
+	// cluster may step its channels concurrently). Nil disables the seam at
 	// the cost of one pointer check per stage; the instruments themselves
 	// never allocate or perturb determinism (wall time is observed, never
 	// fed back).
@@ -273,16 +262,6 @@ type System struct {
 	inst           *telemetry.SystemInstruments
 	stageViewSwaps int
 
-	// Sharded parallel engine (Config.Workers > 1).
-	workers       int
-	shardRngs     []*xrand.Rand // per-shard selection streams
-	shardLoads    [][]int       // per-shard load accumulators
-	shards        []shardState  // per-shard feedback partials
-	selectFn      func(k int)   // bound shardSelect, hoisted so Step stays alloc-free
-	feedbackFn    func(k int)   // bound shardFeedback, same reason
-	shardMinPeers int           // fan-out gate: minShardPeers (tests override it)
-	maxProcs      int           // GOMAXPROCS at construction; 1 forces inline shards
-
 	// arena is the struct-of-arrays store for the resident RTHS learners:
 	// every peer whose selector is a *regret.Learner has its proxy matrix
 	// and probability vector in the arena's contiguous slabs, so the
@@ -293,26 +272,6 @@ type System struct {
 	// the engine equivalence tests.
 	arena *regret.Arena
 }
-
-// shardState holds one shard's per-stage partial aggregates, padded to a
-// cache line so parallel workers do not false-share.
-type shardState struct {
-	welfare    float64
-	serverLoad float64
-	demandSum  float64
-	err        error
-	_          [3]uint64
-}
-
-// minShardPeers gates the sharded engine's goroutine fan-out: shards run
-// inline on the calling goroutine (same per-shard RNG streams,
-// bit-identical results) until the population reaches
-// Workers*minShardPeers peers, because below that goroutine handoff would
-// cost more than the stage work. Shards also run inline whenever the
-// process has a single scheduler core (GOMAXPROCS=1): goroutines cannot
-// run in parallel there, so the fan-out would only add handoff latency
-// while the recorded numbers masquerade as parallel measurements.
-const minShardPeers = 64
 
 // StageResult is the global view of one completed stage.
 type StageResult struct {
@@ -365,9 +324,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.DemandPerPeer < 0 {
 		return nil, fmt.Errorf("core: DemandPerPeer=%g", cfg.DemandPerPeer)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("core: Workers=%d", cfg.Workers)
-	}
 	if cfg.UtilityScale < 0 {
 		return nil, fmt.Errorf("core: UtilityScale=%g", cfg.UtilityScale)
 	}
@@ -403,11 +359,10 @@ func New(cfg Config) (*System, error) {
 	// construction when ViewSize < len(Helpers), or lazily the first time
 	// AddHelper grows the pool past the bound (engageViews). When it
 	// engages here, the view stream is split from the master at this
-	// fixed point (after the helper chains, before the shard streams),
-	// and each peer draws its own sub-stream — view churn is therefore
-	// deterministic and independent of Workers and of the execution
-	// backend. A bound that never binds costs nothing: no extra RNG
-	// draws, no mapping layer — exactly the full-view engine.
+	// fixed point (after the helper chains), and each peer draws its own
+	// sub-stream — view churn is therefore deterministic and independent
+	// of the execution backend. A bound that never binds costs nothing:
+	// no extra RNG draws, no mapping layer — exactly the full-view engine.
 	if cfg.ViewSize > 0 {
 		s.viewSize = cfg.ViewSize
 		s.viewRefresh = cfg.ViewRefresh
@@ -463,25 +418,6 @@ func New(cfg Config) (*System, error) {
 	s.rates = make([]float64, len(s.peers))
 	s.helperRates = make([]float64, len(s.helpers))
 	s.capScratch = make([]float64, len(s.helpers))
-	if cfg.Workers > 1 {
-		s.workers = cfg.Workers
-		s.shardRngs = make([]*xrand.Rand, s.workers)
-		s.shardLoads = make([][]int, s.workers)
-		s.shards = make([]shardState, s.workers)
-		for k := range s.shardRngs {
-			// Independent per-shard streams, split deterministically from
-			// the master stream after all construction-time draws.
-			s.shardRngs[k] = rng.Split()
-			s.shardLoads[k] = make([]int, len(s.helpers))
-		}
-		s.selectFn = s.shardSelect
-		s.feedbackFn = s.shardFeedback
-	}
-	s.shardMinPeers = minShardPeers
-	// Captured once: the fan-out gate must not flip mid-run if some other
-	// subsystem adjusts GOMAXPROCS (results are identical either way, but
-	// the execution mode should be stable and inspectable).
-	s.maxProcs = runtime.GOMAXPROCS(0)
 	s.rebuildObservers()
 	return s, nil
 }
@@ -750,9 +686,8 @@ func (s *System) Selector(i int) Selector { return s.peers[i].sel }
 // Step advances the system one stage: bandwidth chains move, every peer
 // selects a helper, rates are realized and fed back. The returned result's
 // slices alias internal buffers that the next Step overwrites — call Clone
-// to retain a result across stages. The steady-state sequential path is
-// allocation-free (pinned by TestStepZeroAllocs); with Config.Workers > 1
-// the selection and feedback passes run sharded on a worker pool.
+// to retain a result across stages. The steady-state path is
+// allocation-free (pinned by TestStepZeroAllocs).
 //
 //rths:hotpath
 func (s *System) Step() (StageResult, error) {
@@ -802,29 +737,23 @@ func (s *System) selectPhase() error {
 	if s.viewMaster != nil && s.viewRefresh > 0 && s.stage > 0 && s.stage%s.viewRefresh == 0 {
 		s.refreshViews()
 	}
-	if s.workers > 1 {
-		if err := s.selectSharded(); err != nil {
-			return err
-		}
-	} else {
-		for j := range s.loads {
-			s.loads[j] = 0
-		}
-		for i, p := range s.peers {
-			a := p.selectHelper(s.rng)
-			if p.view != nil {
-				if a < 0 || a >= p.view.Len() {
-					return selectionErr(i, a, true)
-				}
-				s.viewActions[i] = a
-				a = p.view.Global(a)
+	for j := range s.loads {
+		s.loads[j] = 0
+	}
+	for i, p := range s.peers {
+		a := p.selectHelper(s.rng)
+		if p.view != nil {
+			if a < 0 || a >= p.view.Len() {
+				return selectionErr(i, a, true)
 			}
-			if a < 0 || a >= len(s.helpers) {
-				return selectionErr(i, a, false)
-			}
-			s.actions[i] = a
-			s.loads[a]++
+			s.viewActions[i] = a
+			a = p.view.Global(a)
 		}
+		if a < 0 || a >= len(s.helpers) {
+			return selectionErr(i, a, false)
+		}
+		s.actions[i] = a
+		s.loads[a]++
 	}
 	if s.inst != nil {
 		s.inst.SelectSeconds.Observe(float64(s.inst.Now()-t0) / 1e9)
@@ -853,32 +782,24 @@ func (s *System) finishInto(res *StageResult) error {
 		}
 	}
 	var welfare, serverLoad, demandSum float64
-	if s.workers > 1 {
-		var err error
-		welfare, serverLoad, demandSum, err = s.feedbackSharded()
-		if err != nil {
-			return err
+	for i, p := range s.peers {
+		r := s.helperRates[s.actions[i]]
+		s.rates[i] = r
+		welfare += r
+		if p.demand > 0 {
+			demandSum += p.demand
+			if short := p.demand - r; short > 0 {
+				serverLoad += short
+			}
 		}
-	} else {
-		for i, p := range s.peers {
-			r := s.helperRates[s.actions[i]]
-			s.rates[i] = r
-			welfare += r
-			if p.demand > 0 {
-				demandSum += p.demand
-				if short := p.demand - r; short > 0 {
-					serverLoad += short
-				}
-			}
-			// The selector is fed its own (view-local) action back; the
-			// realized rate was routed through the global id above.
-			act := s.actions[i]
-			if p.view != nil {
-				act = s.viewActions[i]
-			}
-			if err := p.feedback(act, r/s.scale); err != nil {
-				return feedbackErr(i, err)
-			}
+		// The selector is fed its own (view-local) action back; the
+		// realized rate was routed through the global id above.
+		act := s.actions[i]
+		if p.view != nil {
+			act = s.viewActions[i]
+		}
+		if err := p.feedback(act, r/s.scale); err != nil {
+			return feedbackErr(i, err)
 		}
 	}
 	minDeficit := demandSum - capSum
@@ -906,99 +827,6 @@ func (s *System) finishInto(res *StageResult) error {
 	return nil
 }
 
-// selectSharded runs the selection pass over peer shards (peer i belongs to
-// shard i mod workers), then reduces the per-shard load counts in shard
-// order so the result is independent of goroutine scheduling.
-func (s *System) selectSharded() error {
-	s.runShards(s.selectFn)
-	for j := range s.loads {
-		s.loads[j] = 0
-	}
-	for k := 0; k < s.workers; k++ {
-		for j, l := range s.shardLoads[k] {
-			s.loads[j] += l
-		}
-	}
-	return s.takeShardErr()
-}
-
-// feedbackSharded runs the rate/feedback pass over peer shards and reduces
-// the welfare, server-load and demand partials in shard order (fixed
-// floating-point summation order ⇒ bit-reproducible for a given Workers).
-func (s *System) feedbackSharded() (welfare, serverLoad, demandSum float64, err error) {
-	s.runShards(s.feedbackFn)
-	for k := range s.shards {
-		welfare += s.shards[k].welfare
-		serverLoad += s.shards[k].serverLoad
-		demandSum += s.shards[k].demandSum
-	}
-	return welfare, serverLoad, demandSum, s.takeShardErr()
-}
-
-// shardSelect is shard k's selection pass: sample a helper for every peer
-// in the shard from the shard's private RNG stream, counting loads locally.
-//
-//rths:hotpath
-func (s *System) shardSelect(k int) {
-	loads := s.shardLoads[k]
-	for j := range loads {
-		loads[j] = 0
-	}
-	rng := s.shardRngs[k]
-	h := len(s.helpers)
-	for i := k; i < len(s.peers); i += s.workers {
-		p := s.peers[i]
-		a := p.selectHelper(rng)
-		if p.view != nil {
-			if a < 0 || a >= p.view.Len() {
-				if s.shards[k].err == nil {
-					s.shards[k].err = selectionErr(i, a, true)
-				}
-				a = 0 // keep the buffers consistent; the error aborts the stage
-			}
-			s.viewActions[i] = a
-			a = p.view.Global(a)
-		}
-		if a < 0 || a >= h {
-			if s.shards[k].err == nil {
-				s.shards[k].err = selectionErr(i, a, false)
-			}
-			a = 0 // keep the buffers consistent; the error aborts the stage
-		}
-		s.actions[i] = a
-		loads[a]++
-	}
-}
-
-// shardFeedback is shard k's rate/feedback pass: realize each peer's rate,
-// accumulate the shard's welfare/server-load partials, and feed the
-// learners.
-//
-//rths:hotpath
-func (s *System) shardFeedback(k int) {
-	st := &s.shards[k]
-	st.welfare, st.serverLoad, st.demandSum = 0, 0, 0
-	for i := k; i < len(s.peers); i += s.workers {
-		p := s.peers[i]
-		r := s.helperRates[s.actions[i]]
-		s.rates[i] = r
-		st.welfare += r
-		if p.demand > 0 {
-			st.demandSum += p.demand
-			if short := p.demand - r; short > 0 {
-				st.serverLoad += short
-			}
-		}
-		act := s.actions[i]
-		if p.view != nil {
-			act = s.viewActions[i]
-		}
-		if uerr := p.feedback(act, r/s.scale); uerr != nil && st.err == nil {
-			st.err = feedbackErr(i, uerr)
-		}
-	}
-}
-
 // selectionErr builds the invalid-selection errors off the hot path
 // (view=true: the view-local action was out of range; view=false: the
 // routed global helper id was).
@@ -1012,44 +840,6 @@ func selectionErr(i, a int, view bool) error {
 // feedbackErr wraps a learner-feedback failure off the hot path.
 func feedbackErr(i int, err error) error {
 	return fmt.Errorf("core: peer %d feedback: %w", i, err)
-}
-
-// runShards executes fn(k) for every shard k. Large populations fan out to
-// one goroutine per shard; small ones — and any population when the
-// process has a single scheduler core, where goroutines cannot actually
-// run in parallel — run inline. The per-shard RNG streams make both
-// execution modes produce identical results, so the gate is purely a
-// scheduling decision (pinned by TestParallelInlineMatchesGoroutines).
-func (s *System) runShards(fn func(k int)) {
-	if s.maxProcs == 1 || len(s.peers) < s.workers*s.shardMinPeers {
-		for k := 0; k < s.workers; k++ {
-			fn(k)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(s.workers)
-	for k := 0; k < s.workers; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k)
-		}(k)
-	}
-	wg.Wait()
-}
-
-// takeShardErr returns (and clears) the first shard error in shard order.
-func (s *System) takeShardErr() error {
-	var first error
-	for k := range s.shards {
-		if err := s.shards[k].err; err != nil {
-			if first == nil {
-				first = err
-			}
-			s.shards[k].err = nil
-		}
-	}
-	return first
 }
 
 // optWelfare is the stage-optimal social welfare: the sum of the min(N,H)
@@ -1300,9 +1090,6 @@ func (s *System) AddHelper(spec HelperSpec) error {
 	s.caps = append(s.caps, 0)
 	s.helperRates = append(s.helperRates, 0)
 	s.capScratch = append(s.capScratch, 0)
-	for k := range s.shardLoads {
-		s.shardLoads[k] = append(s.shardLoads[k], 0)
-	}
 	if s.viewMaster != nil {
 		s.viewMark = append(s.viewMark, false)
 		s.viewIdx = append(s.viewIdx, 0)
@@ -1338,8 +1125,7 @@ func (s *System) AddHelper(spec HelperSpec) error {
 // lowest-probability action — keeping the helpers their play history
 // already favors — while other dynamic policies drop from the top.
 // All draws come from the system's own streams, so engagement is
-// deterministic and identical across Workers values and execution
-// backends.
+// deterministic and identical across execution backends.
 func (s *System) engageViews() {
 	s.viewMaster = s.rng.Split()
 	s.viewMark = make([]bool, len(s.helpers))
@@ -1415,9 +1201,6 @@ func (s *System) RemoveHelper(j int) error {
 	s.caps = s.caps[:len(s.helpers)]
 	s.helperRates = s.helperRates[:len(s.helpers)]
 	s.capScratch = s.capScratch[:len(s.helpers)]
-	for k := range s.shardLoads {
-		s.shardLoads[k] = s.shardLoads[k][:len(s.helpers)]
-	}
 	if s.viewMaster != nil {
 		s.viewMark = s.viewMark[:len(s.helpers)]
 		s.viewIdx = s.viewIdx[:len(s.helpers)]

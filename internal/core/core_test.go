@@ -396,3 +396,36 @@ func (badSelector) NumActions() int           { return 2 }
 // newTestRand gives churn property tests an RNG without importing
 // math/rand (keeps all randomness on the repo's deterministic generator).
 func newTestRand(seed uint64) *xrand.Rand { return xrand.New(seed) }
+
+// System.Step must be allocation-free in steady state — the "reuses
+// internal buffers" contract, pinned.
+func TestStepZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n, h int
+	}{
+		{"N>=H", 32, 4},
+		{"N<H (partial selection)", 3, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := defaultConfig(tc.n, tc.h, 77)
+			cfg.DemandPerPeer = 650
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm up so learners and buffers reach steady state.
+			if err := s.Run(64, nil); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Step allocates %g objects per stage, want 0", allocs)
+			}
+		})
+	}
+}

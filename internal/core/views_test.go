@@ -8,7 +8,7 @@ import (
 	"rths/internal/xrand"
 )
 
-func viewConfig(peers, helpers, viewSize, workers int) Config {
+func viewConfig(peers, helpers, viewSize int) Config {
 	specs := make([]HelperSpec, helpers)
 	for j := range specs {
 		specs[j] = DefaultHelperSpec()
@@ -18,13 +18,12 @@ func viewConfig(peers, helpers, viewSize, workers int) Config {
 		Helpers:       specs,
 		Seed:          42,
 		DemandPerPeer: 300,
-		Workers:       workers,
 		ViewSize:      viewSize,
 	}
 }
 
 func TestViewConfigValidation(t *testing.T) {
-	cfg := viewConfig(4, 4, 0, 0)
+	cfg := viewConfig(4, 4, 0)
 	cfg.ViewSize = -1
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative ViewSize accepted")
@@ -44,7 +43,7 @@ func (o *observingSelector) ObserveStage(res StageResult)       {}
 // indices would be view-local while the observed loads/capacities stay
 // global, so they would silently act on the wrong helpers.
 func TestViewRejectsStageObservers(t *testing.T) {
-	cfg := viewConfig(4, 8, 3, 0)
+	cfg := viewConfig(4, 8, 3)
 	cfg.Factory = func(_, numActions int, _ float64) (Selector, error) {
 		return &observingSelector{m: numActions}, nil
 	}
@@ -71,48 +70,41 @@ func TestViewRejectsStageObservers(t *testing.T) {
 
 // A ViewSize of zero and any ViewSize at or above the helper count are all
 // exactly the full-view engine: same RNG budget, same trajectories,
-// bit-for-bit, for every Workers value — the satellite equivalence pin.
+// bit-for-bit — the satellite equivalence pin.
 func TestViewEquivalenceFullView(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		base, err := New(viewConfig(40, 6, 0, workers))
+	for _, viewSize := range []int{6, 9} {
+		sys, err := New(viewConfig(40, 6, viewSize))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, viewSize := range []int{6, 9} {
-			sys, err := New(viewConfig(40, 6, viewSize, workers))
+		if v := sys.PeerView(0); v != nil {
+			t.Fatalf("ViewSize=%d: partial view engaged: %v", viewSize, v)
+		}
+		// Fresh base per comparison so both run from stage 0.
+		ref, err := New(viewConfig(40, 6, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 120; s++ {
+			rr, err := ref.Step()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v := sys.PeerView(0); v != nil {
-				t.Fatalf("workers=%d ViewSize=%d: partial view engaged: %v", workers, viewSize, v)
-			}
-			// Fresh base per comparison so both run from stage 0.
-			ref, err := New(viewConfig(40, 6, 0, workers))
+			sr, err := sys.Step()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for s := 0; s < 120; s++ {
-				rr, err := ref.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sr, err := sys.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rr.Welfare != sr.Welfare || rr.OptWelfare != sr.OptWelfare || rr.ServerLoad != sr.ServerLoad {
-					t.Fatalf("workers=%d ViewSize=%d stage %d: aggregates diverge (%v vs %v)",
-						workers, viewSize, s, rr.Welfare, sr.Welfare)
-				}
-				for i := range rr.Actions {
-					if rr.Actions[i] != sr.Actions[i] || rr.Rates[i] != sr.Rates[i] {
-						t.Fatalf("workers=%d ViewSize=%d stage %d peer %d: %d/%g vs %d/%g",
-							workers, viewSize, s, i, rr.Actions[i], rr.Rates[i], sr.Actions[i], sr.Rates[i])
-					}
+			if rr.Welfare != sr.Welfare || rr.OptWelfare != sr.OptWelfare || rr.ServerLoad != sr.ServerLoad {
+				t.Fatalf("ViewSize=%d stage %d: aggregates diverge (%v vs %v)",
+					viewSize, s, rr.Welfare, sr.Welfare)
+			}
+			for i := range rr.Actions {
+				if rr.Actions[i] != sr.Actions[i] || rr.Rates[i] != sr.Rates[i] {
+					t.Fatalf("ViewSize=%d stage %d peer %d: %d/%g vs %d/%g",
+						viewSize, s, i, rr.Actions[i], rr.Rates[i], sr.Actions[i], sr.Rates[i])
 				}
 			}
 		}
-		_ = base
 	}
 }
 
@@ -121,7 +113,7 @@ func TestViewEquivalenceFullView(t *testing.T) {
 // through the view to an in-view global helper.
 func TestPartialViewsBoundLearnerState(t *testing.T) {
 	const peers, helpers, v = 24, 256, 16
-	sys, err := New(viewConfig(peers, helpers, v, 0))
+	sys, err := New(viewConfig(peers, helpers, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +156,7 @@ func TestViewMemoryReduction(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		sys, err := New(viewConfig(32, 256, viewSize, 0))
+		sys, err := New(viewConfig(32, 256, viewSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +177,7 @@ func TestViewMemoryReduction(t *testing.T) {
 // buffers (refresh stages allocate O(v) when a learner's action set is
 // rebuilt, amortized over the refresh period).
 func TestViewStepZeroAllocs(t *testing.T) {
-	cfg := viewConfig(64, 32, 8, 0)
+	cfg := viewConfig(64, 32, 8)
 	cfg.ViewRefresh = -1 // isolate the steady-state stage loop
 	sys, err := New(cfg)
 	if err != nil {
@@ -207,7 +199,7 @@ func TestViewStepZeroAllocs(t *testing.T) {
 // lowest-probability one, for a uniformly sampled unseen one) and is
 // deterministic for a fixed seed.
 func TestViewRefreshSwapsOnePerPeriod(t *testing.T) {
-	cfg := viewConfig(8, 6, 3, 0)
+	cfg := viewConfig(8, 6, 3)
 	cfg.ViewRefresh = 5
 	sys, err := New(cfg)
 	if err != nil {
@@ -260,7 +252,7 @@ func TestViewRefreshSwapsOnePerPeriod(t *testing.T) {
 // helper; everyone else is just renumbered. Helper addition is adopted
 // only by peers whose views have room.
 func TestViewHelperChurnTouchesOnlyViewers(t *testing.T) {
-	cfg := viewConfig(30, 5, 2, 0)
+	cfg := viewConfig(30, 5, 2)
 	cfg.ViewRefresh = -1 // isolate the churn path from refresh refills
 	sys, err := New(cfg)
 	if err != nil {
@@ -328,7 +320,7 @@ func TestViewHelperChurnTouchesOnlyViewers(t *testing.T) {
 // strategy's argmin, having played ~no stages), so without the deferral
 // the swap would remove it before it was ever priced.
 func TestViewAdoptionProtectedFromRefreshSwap(t *testing.T) {
-	cfg := viewConfig(20, 6, 3, 0)
+	cfg := viewConfig(20, 6, 3)
 	cfg.ViewRefresh = 10
 	sys, err := New(cfg)
 	if err != nil {
@@ -377,7 +369,7 @@ func TestViewAdoptionProtectedFromRefreshSwap(t *testing.T) {
 // Removing a peer's only in-view helper swaps in a replacement instead of
 // emptying its action set (the ViewSize=1 degenerate case).
 func TestViewLastHelperRemovalSwapsReplacement(t *testing.T) {
-	cfg := viewConfig(12, 4, 1, 0)
+	cfg := viewConfig(12, 4, 1)
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +399,7 @@ func TestViewLastHelperRemovalSwapsReplacement(t *testing.T) {
 // Mid-run joiners get views from the same deterministic stream, sized by
 // NewPeerActions.
 func TestViewAddPeer(t *testing.T) {
-	sys, err := New(viewConfig(4, 8, 3, 0))
+	sys, err := New(viewConfig(4, 8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,46 +421,13 @@ func TestViewAddPeer(t *testing.T) {
 	}
 }
 
-// Partial views on the sharded parallel engine: the population is large
-// enough to fan out to real goroutines (the -race CI step exercises this),
-// and a fixed (Seed, Workers) pair replays bit-identically — view refresh
-// runs on per-peer streams, outside the shard streams.
-func TestViewParallelDeterministicAcrossRuns(t *testing.T) {
-	run := func() []float64 {
-		cfg := viewConfig(256, 32, 8, 2)
-		cfg.ViewRefresh = 10
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(sys.peers); got != 256 {
-			t.Fatalf("peers = %d", got)
-		}
-		if 256 < sys.workers*sys.shardMinPeers {
-			t.Fatal("population too small to exercise the goroutine fan-out")
-		}
-		sys.maxProcs = 2 // exercise the goroutine fan-out even on one core
-		var welfare []float64
-		if err := sys.Run(40, func(r StageResult) { welfare = append(welfare, r.Welfare) }); err != nil {
-			t.Fatal(err)
-		}
-		return welfare
-	}
-	a, b := run(), run()
-	for s := range a {
-		if a[s] != b[s] {
-			t.Fatalf("stage %d: %g vs %g — parallel view run not reproducible", s, a[s], b[s])
-		}
-	}
-}
-
 // The stage protocol: helper and peer churn belong between stages. Inside
 // an open SelectStage/FinishStage pair the churn ops are rejected with a
 // descriptive error instead of corrupting the learners' pending
 // selections (which used to surface later as the baffling
 // "Update(action=N) does not match selected action -1").
 func TestMidStageChurnRejected(t *testing.T) {
-	sys, err := New(viewConfig(6, 3, 0, 0))
+	sys, err := New(viewConfig(6, 3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,63 +470,61 @@ func TestMidStageChurnRejected(t *testing.T) {
 // — each shrinks to exactly ViewSize through the churn seam — while
 // later joiners and the stage loop behave like any partial-view system.
 func TestLazyViewEngagementOnGrowth(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		sys, err := New(viewConfig(12, 4, 6, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Grow to the bound: 4 → 6 helpers stays full-view.
-		for sys.NumHelpers() < 6 {
-			if err := sys.AddHelper(DefaultHelperSpec()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sys.Run(10, nil); err != nil {
-			t.Fatal(err)
-		}
-		if ids := sys.PeerView(0); ids != nil {
-			t.Fatalf("workers=%d: views engaged at the bound: %v", workers, ids)
-		}
-		if got := sys.Selector(0).NumActions(); got != 6 {
-			t.Fatalf("workers=%d: full-view peer has %d actions, want 6", workers, got)
-		}
-		// The 7th helper crosses the bound: every resident engages.
+	sys, err := New(viewConfig(12, 4, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Grow to the bound: 4 → 6 helpers stays full-view.
+	for sys.NumHelpers() < 6 {
 		if err := sys.AddHelper(DefaultHelperSpec()); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 12; i++ {
-			ids := sys.PeerView(i)
-			if len(ids) != 6 {
-				t.Fatalf("workers=%d peer %d: engaged view %v, want 6 ids", workers, i, ids)
+	}
+	if err := sys.Run(10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ids := sys.PeerView(0); ids != nil {
+		t.Fatalf("views engaged at the bound: %v", ids)
+	}
+	if got := sys.Selector(0).NumActions(); got != 6 {
+		t.Fatalf("full-view peer has %d actions, want 6", got)
+	}
+	// The 7th helper crosses the bound: every resident engages.
+	if err := sys.AddHelper(DefaultHelperSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		ids := sys.PeerView(i)
+		if len(ids) != 6 {
+			t.Fatalf("peer %d: engaged view %v, want 6 ids", i, ids)
+		}
+		seen := map[int]bool{}
+		for _, h := range ids {
+			if h < 0 || h >= 7 || seen[h] {
+				t.Fatalf("peer %d: invalid view %v", i, ids)
 			}
-			seen := map[int]bool{}
-			for _, h := range ids {
-				if h < 0 || h >= 7 || seen[h] {
-					t.Fatalf("workers=%d peer %d: invalid view %v", workers, i, ids)
-				}
-				seen[h] = true
-			}
-			if got := sys.Selector(i).NumActions(); got != 6 {
-				t.Fatalf("workers=%d peer %d: %d actions after engagement, want 6", workers, i, got)
-			}
+			seen[h] = true
 		}
-		// The engaged system keeps stepping, and joiners get views.
-		if err := sys.Run(10, nil); err != nil {
-			t.Fatal(err)
+		if got := sys.Selector(i).NumActions(); got != 6 {
+			t.Fatalf("peer %d: %d actions after engagement, want 6", i, got)
 		}
-		if got := sys.NewPeerActions(); got != 6 {
-			t.Fatalf("workers=%d: NewPeerActions = %d after engagement, want 6", workers, got)
-		}
-		i, err := sys.AddPeer(nil, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ids := sys.PeerView(i); len(ids) != 6 {
-			t.Fatalf("workers=%d: joiner view %v, want 6 ids", workers, ids)
-		}
-		if err := sys.Run(5, nil); err != nil {
-			t.Fatal(err)
-		}
+	}
+	// The engaged system keeps stepping, and joiners get views.
+	if err := sys.Run(10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.NewPeerActions(); got != 6 {
+		t.Fatalf("NewPeerActions = %d after engagement, want 6", got)
+	}
+	i, err := sys.AddPeer(nil, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := sys.PeerView(i); len(ids) != 6 {
+		t.Fatalf("joiner view %v, want 6 ids", ids)
+	}
+	if err := sys.Run(5, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -577,7 +534,7 @@ func TestLazyViewEngagementOnGrowth(t *testing.T) {
 // same AddHelper schedule is bit-identical to an unbounded run.
 func TestLazyEngagementNeverCrossingStaysFullView(t *testing.T) {
 	run := func(viewSize int) []float64 {
-		sys, err := New(viewConfig(12, 4, viewSize, 0))
+		sys, err := New(viewConfig(12, 4, viewSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +579,7 @@ func (o *dynamicObserver) RemoveAction(int) { o.m-- }
 // engage partial views rejects them descriptively and leaves the pool
 // untouched.
 func TestLazyEngagementRejectsStageObservers(t *testing.T) {
-	cfg := viewConfig(4, 4, 6, 0)
+	cfg := viewConfig(4, 4, 6)
 	cfg.Factory = func(_, numActions int, _ float64) (Selector, error) {
 		return &dynamicObserver{observingSelector{m: numActions}}, nil
 	}

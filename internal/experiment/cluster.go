@@ -59,11 +59,10 @@ type ClusterScenario struct {
 	// default, negative disables; see cluster.Config.ViewRefresh).
 	ViewRefresh int
 	Allocator   cluster.AllocatorKind
-	// Backend selects the execution backend (shared-memory worker pool or
-	// the distsim message-passing runtime). With cluster.BackendDistsim,
-	// Close the built cluster to join its node goroutines.
+	// Backend selects the execution backend (shared memory or the distsim
+	// message-passing runtime). With cluster.BackendDistsim, Close the
+	// built cluster to join its node goroutines.
 	Backend cluster.BackendKind
-	Workers int
 	Seed    uint64
 	// LinkDrop/LinkDelay/LinkMaxDelay parameterize the distsim lossy link
 	// model (both zero disables; requires the distsim backend). LinkSeed
@@ -119,7 +118,6 @@ func ClusterScale() ClusterScenario {
 		FlashChannel: 90,
 		FlashPeers:   500,
 		Allocator:    cluster.AllocGreedy,
-		Workers:      4,
 		Seed:         1,
 	}
 }
@@ -139,7 +137,6 @@ func ClusterSmall() ClusterScenario {
 	s.FlashStage = 30
 	s.FlashChannel = 6
 	s.FlashPeers = 60
-	s.Workers = 0
 	return s
 }
 
@@ -235,6 +232,18 @@ func (s ClusterScenario) Workload() (*trace.Workload, error) {
 
 // Build assembles the cluster config for the scenario.
 func (s ClusterScenario) Build() (cluster.Config, error) {
+	if s.PartitionUntil > s.PartitionFrom {
+		// Helpers stripe as h mod FaultDomains (channel managers sit in
+		// domain 0), so a partition cuts something only when there are
+		// at least two domains and the chosen one holds a helper.
+		if s.FaultDomains <= 1 {
+			return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: partition needs FaultDomains > 1, have %d", s.FaultDomains)
+		}
+		if s.PartitionDomain < 0 || s.PartitionDomain >= min(s.FaultDomains, s.Helpers) {
+			return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: partition domain %d holds no helper (%d helpers striped over domains 0..%d)",
+				s.PartitionDomain, s.Helpers, s.FaultDomains-1)
+		}
+	}
 	specs, err := cluster.ZipfChannels(s.Channels, s.TotalPeers, s.ZipfS, s.Bitrate)
 	if err != nil {
 		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: %w", err)
@@ -254,7 +263,6 @@ func (s ClusterScenario) Build() (cluster.Config, error) {
 		Backend:     s.Backend,
 		EpochStages: s.EpochStages,
 		Hysteresis:  s.Hysteresis,
-		Workers:     s.Workers,
 		Seed:        s.Seed,
 		ViewSize:    s.ViewSize,
 		ViewRefresh: s.ViewRefresh,

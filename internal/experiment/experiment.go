@@ -32,9 +32,6 @@ type Scenario struct {
 	Factory core.SelectorFactory
 	// Seed drives the run.
 	Seed uint64
-	// Workers selects core's sharded parallel step engine (0 = sequential).
-	// See core.Config.Workers for the determinism contract.
-	Workers int
 }
 
 // SmallScale is the paper's explicit Fig-2 setting: N=10 peers, H=4 helpers.
@@ -56,20 +53,6 @@ func LargeScale() Scenario {
 	s.NumPeers = 200
 	s.NumHelpers = 20
 	s.Stages = 3000
-	return s
-}
-
-// StressScale is the LargeScale-derived stress scenario for the sharded
-// parallel step engine: 25x the peers, 4x the helpers, and a fixed worker
-// count (fixed, not NumCPU, so trajectories are reproducible across
-// machines). The horizon is short — the scenario exists to exercise and
-// benchmark the hot path at scale, not to reproduce a figure.
-func StressScale() Scenario {
-	s := LargeScale()
-	s.NumPeers = 5000
-	s.NumHelpers = 80
-	s.Stages = 500
-	s.Workers = 8
 	return s
 }
 
@@ -109,7 +92,6 @@ func (s Scenario) build() (*core.System, error) {
 		Factory:       factory,
 		Seed:          s.Seed,
 		DemandPerPeer: s.DemandPerPeer,
-		Workers:       s.Workers,
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"rths/internal/core"
 	"rths/internal/regret"
 )
 
@@ -259,35 +258,5 @@ func TestLargeScaleDefaultsValid(t *testing.T) {
 	}
 	if err := s.validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// StressScale must build a sharded system and run deterministically; the
-// horizon is trimmed here so the smoke test stays inside CI budget.
-func TestStressScaleSmoke(t *testing.T) {
-	s := StressScale()
-	if s.Workers < 2 {
-		t.Fatalf("StressScale.Workers = %d, want a parallel engine", s.Workers)
-	}
-	s.NumPeers = 1000
-	s.NumHelpers = 16
-	s.Stages = 40
-	run := func() float64 {
-		sys, err := s.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := 0.0
-		if err := sys.Run(s.Stages, func(r core.StageResult) { last = r.Welfare }); err != nil {
-			t.Fatal(err)
-		}
-		return last
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("stress scenario not reproducible: %g vs %g", a, b)
-	}
-	if a <= 0 {
-		t.Fatalf("stress scenario produced zero welfare")
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 
 	"rths/internal/cluster"
@@ -79,5 +80,48 @@ func TestFaultFreeScenarioBuildsNoPlan(t *testing.T) {
 	}
 	if cfg.Faults != nil {
 		t.Fatalf("degenerate fault fields built a plan: %+v", cfg.Faults)
+	}
+}
+
+// A partition window must cut something: helpers stripe as h mod
+// FaultDomains, so a partition needs at least two domains and a domain
+// that holds a helper. Empty windows stay accepted whatever the domain.
+func TestPartitionMustCutSomething(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		domains, part int
+		from, until   int
+		wantErr       string
+	}{
+		{"preset", 3, 2, 40, 80, ""},
+		{"domain 0 severs the other stripes", 3, 0, 40, 80, ""},
+		{"domain past the stripes", 3, 9, 40, 80, "holds no helper"},
+		{"negative domain", 3, -1, 40, 80, "holds no helper"},
+		{"single domain", 1, 0, 40, 80, "FaultDomains > 1"},
+		{"no domains", 0, 0, 40, 80, "FaultDomains > 1"},
+		{"empty window ignores the domain", 1, 9, 40, 40, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ClusterFaults()
+			s.FaultDomains, s.PartitionDomain = tc.domains, tc.part
+			s.PartitionFrom, s.PartitionUntil = tc.from, tc.until
+			_, err := s.Build()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want %q", err, tc.wantErr)
+			}
+		})
+	}
+	// More domains than helpers leaves the high domains empty too.
+	s := ClusterFaults()
+	s.Channels, s.Helpers = 2, 4
+	s.FaultDomains, s.PartitionDomain = 6, 5
+	if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "holds no helper") {
+		t.Fatalf("empty high domain: err = %v", err)
 	}
 }

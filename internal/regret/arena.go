@@ -2,8 +2,8 @@ package regret
 
 // Arena is a struct-of-arrays store for resident learners: every adopted
 // or arena-born (Arena.New) Learner's proxy matrix and probability vector
-// live in two contiguous float64 slabs (one slot per learner), so a
-// shard's select/feedback pass walks dense memory instead of chasing
+// live in two contiguous float64 slabs (one slot per learner), so the
+// select/feedback passes walk dense memory instead of chasing
 // per-learner heap allocations. The Learner stays the owner of all scalar
 // state (decay weight, stage, hot constants); residency only points its
 // t/probs slice headers into the slabs, which keeps
@@ -13,7 +13,8 @@ package regret
 // Slots are compacted on release (swap-with-last), so the slabs stay dense
 // under arbitrary join/leave churn: len(handles) live slots, no holes.
 // Slot strides are rounded up to whole cache lines so two learners never
-// share a line even when adjacent slots are written by different shards.
+// share a line even when adjacent slots are written by different
+// goroutines.
 //
 // An Arena is not safe for concurrent structural edits (Adopt, Release,
 // growth); the owning System serializes those between stages. Concurrent

@@ -14,11 +14,11 @@
 //
 //   - Telemetry never perturbs determinism. Instruments consume no
 //     randomness and feed nothing back into the engine; counters and
-//     bucket counts are integers, so merging per-shard values in
-//     shard-index order at stage/round boundaries yields bit-identical
-//     totals for every Workers value. Wall-clock durations may be
-//     *observed* (histograms), but deterministic outputs — the event
-//     trace, epoch metrics — carry only stage-clock timestamps.
+//     bucket counts are integers, so merging per-node values in a fixed
+//     order at stage/round boundaries yields bit-identical totals however
+//     the nodes were scheduled. Wall-clock durations may be *observed*
+//     (histograms), but deterministic outputs — the event trace, epoch
+//     metrics — carry only stage-clock timestamps.
 package telemetry
 
 import (
@@ -33,7 +33,7 @@ import (
 
 // Counter is a monotonically increasing uint64. Updates are atomic, so
 // a scrape may read concurrently with writers; on the simulator's hot
-// path each shard owns its own Counter, so the atomics never contend.
+// path each engine owns its own Counter, so the atomics never contend.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -103,8 +103,8 @@ func (g *Gauge) Value() float64 {
 // Histogram is a fixed-bucket histogram: cumulative-style observation
 // counts over ascending upper bounds plus an implicit +Inf bucket, with
 // a running sum and count. Observe is allocation-free. Bucket counts
-// are integers, so merging shard-local histograms in shard-index order
-// is deterministic; the float64 sum is also merged in that fixed order.
+// are integers, so merging node-local histograms in a fixed order is
+// deterministic; the float64 sum is also merged in that fixed order.
 type Histogram struct {
 	bounds  []float64       // ascending upper bounds; +Inf is implicit
 	counts  []atomic.Uint64 // len(bounds)+1
@@ -123,7 +123,7 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // NewLike builds an empty histogram with the same bucket bounds —
-// the shard-local twin that workers fill and Merge back. Nil-safe.
+// the node-local twin a goroutine fills and Merges back. Nil-safe.
 func (h *Histogram) NewLike() *Histogram {
 	if h == nil {
 		return nil
@@ -470,9 +470,9 @@ func appendFloat(buf []byte, v float64) []byte {
 	return strconv.AppendFloat(buf, v, 'g', -1, 64)
 }
 
-// SystemInstruments is the per-engine (per-shard) instrument set a
-// core.System updates on its stage hot path. Each engine owns its own
-// set, so parallel shards never contend; any field may be nil to
+// SystemInstruments is the per-engine instrument set a core.System
+// updates on its stage hot path. Each engine owns its own set, so
+// engines stepped concurrently never contend; any field may be nil to
 // disable that instrument, and a nil *SystemInstruments disables the
 // whole seam at the cost of one pointer check per stage.
 type SystemInstruments struct {

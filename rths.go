@@ -154,14 +154,15 @@ func DefaultLearnerConfig(numActions int, utilityScale float64) LearnerConfig {
 	return regret.Defaults(numActions, utilityScale)
 }
 
-// Cluster runtime types (the sharded multi-channel engine with helper
+// Cluster runtime types (the multi-channel engine with helper
 // re-allocation epochs).
 type (
 	// ClusterConfig configures the multi-channel cluster runtime.
 	ClusterConfig = cluster.Config
-	// Cluster is the running cluster: channels step in parallel on a
-	// worker pool and helpers migrate between channels at epoch
-	// boundaries. Results are bit-identical for every Workers value.
+	// Cluster is the running cluster: channels step every stage (on a
+	// channel pool when the host and the stage are big enough) and
+	// helpers migrate between channels at epoch boundaries. Results are
+	// bit-identical with the pool on or off.
 	Cluster = cluster.Cluster
 	// ClusterChannelSpec describes one cluster channel.
 	ClusterChannelSpec = cluster.ChannelSpec
@@ -246,7 +247,7 @@ func NewLossyLink(dropProb, delayProb float64, maxDelay int) (LossyLink, error) 
 	return distsim.NewLossy(dropProb, delayProb, maxDelay)
 }
 
-// NewCluster builds the sharded multi-channel cluster runtime.
+// NewCluster builds the multi-channel cluster runtime.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
 // ZipfChannels builds channel specs whose audiences split totalPeers by a
@@ -331,10 +332,6 @@ func SmallScale() Scenario { return experiment.SmallScale() }
 
 // LargeScale is the Fig-1 scenario (N=200 peers, H=20 helpers).
 func LargeScale() Scenario { return experiment.LargeScale() }
-
-// StressScale is the LargeScale-derived stress scenario (N=5000 peers,
-// H=80 helpers) that exercises the sharded parallel step engine.
-func StressScale() Scenario { return experiment.StressScale() }
 
 // Figure runners (paper evaluation artifacts).
 var (
