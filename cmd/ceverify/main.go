@@ -39,6 +39,17 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *peers < 1 {
+		return fmt.Errorf("-peers must be at least 1, got %d", *peers)
+	}
+	// The empirical joint distribution keys a profile with one byte per
+	// action, so the CE check handles at most 256 helpers.
+	if *helpers < 1 || *helpers > 256 {
+		return fmt.Errorf("-helpers must be in 1..256, got %d", *helpers)
+	}
+	if *warmup < 0 {
+		return fmt.Errorf("-warmup must be at least 0, got %d", *warmup)
+	}
 	if *warmup >= *stages {
 		return fmt.Errorf("warmup %d must be below stages %d", *warmup, *stages)
 	}

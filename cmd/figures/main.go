@@ -36,6 +36,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *stages < 0 {
+		return fmt.Errorf("-stages must be at least 0 (0 = default), got %d", *stages)
+	}
 
 	scen := func(base experiment.Scenario) experiment.Scenario {
 		base.Seed = *seed

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunSingleFigure(t *testing.T) {
 	// Tiny horizon: exercises the full path of each artifact quickly.
@@ -18,7 +21,15 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-nonsense"}); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-nonsense"}, "flag provided but not defined"},
+		{[]string{"-fig", "2", "-stages", "-5"}, "-stages must be at least 0"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.wantErr)
+		}
 	}
 }

@@ -193,7 +193,7 @@ type clusterSpec struct {
 	channels  int
 	peers     int
 	helpers   int
-	backend   rths.ClusterBackend
+	distsim   bool // run on distsim behind a perfect link (zero loss)
 	churn     bool // replay a generated churn trace through Cluster.Replay
 	faults    bool // run under the ClusterFaults lossy-link + fault plan
 	telemetry bool // attach a live metrics registry + discarded trace
@@ -209,34 +209,34 @@ func defaultClusterScenarios(full bool) []clusterSpec {
 		// on the shared-memory backend and on the batched message-passing
 		// runtime. The distsim row must stay within ~5x of the memory row.
 		{name: "cluster-4ch-seq", channels: 4, peers: 1000, helpers: 16},
-		{name: "cluster-4ch-distsim", channels: 4, peers: 1000, helpers: 16, backend: rths.ClusterBackendDistsim},
+		{name: "cluster-4ch-distsim", channels: 4, peers: 1000, helpers: 16, distsim: true},
 		// The churn-replay pair: the same deployment driven by a generated
 		// Poisson/Zipf viewer trace through Cluster.Replay (joins, leaves
 		// and zaps applied per stage, re-allocation epochs included) on
 		// both backends. Event application rides on top of the stage loop,
 		// so these rows bound the replay overhead against cluster-4ch-*.
 		{name: "churn-replay-4ch-seq", channels: 4, peers: 1000, helpers: 16, churn: true},
-		{name: "churn-replay-4ch-distsim", channels: 4, peers: 1000, helpers: 16, backend: rths.ClusterBackendDistsim, churn: true},
+		{name: "churn-replay-4ch-distsim", channels: 4, peers: 1000, helpers: 16, distsim: true, churn: true},
 		// The fault-plan row: the distsim backend under the ClusterFaults
 		// preset's lossy queueing links, helper crash, regional partition
 		// and failure detector. Bounds the fault adjudication + detector
 		// overhead against cluster-4ch-distsim (same shape, clean links).
-		{name: "cluster-faults-distsim", channels: 4, peers: 1000, helpers: 16, backend: rths.ClusterBackendDistsim, faults: true},
+		{name: "cluster-faults-distsim", channels: 4, peers: 1000, helpers: 16, faults: true},
 		// The same fault row with the telemetry subsystem live: a populated
 		// metrics registry plus a lifecycle tracer writing to io.Discard.
 		// Gated like every sequential row, so the instrument overhead vs
 		// cluster-faults-distsim stays honest (the budget is a few percent).
-		{name: "cluster-faults-telemetry", channels: 4, peers: 1000, helpers: 16, backend: rths.ClusterBackendDistsim, faults: true, telemetry: true},
+		{name: "cluster-faults-telemetry", channels: 4, peers: 1000, helpers: 16, faults: true, telemetry: true},
 		// The dimensional row: everything cluster-faults-telemetry carries
 		// plus the per-channel/per-helper labeled gauges, round-span
 		// profiling and periodic series trace records. Bounds the full
 		// observability stack; the budget vs cluster-faults-distsim is ~5%.
-		{name: "cluster-faults-spans", channels: 4, peers: 1000, helpers: 16, backend: rths.ClusterBackendDistsim, faults: true, telemetry: true, series: true},
+		{name: "cluster-faults-spans", channels: 4, peers: 1000, helpers: 16, faults: true, telemetry: true, series: true},
 	}
 	if full {
 		specs = append(specs, clusterSpec{
 			name: "cluster-scale", channels: 100, peers: 10000, helpers: 150,
-			backend: rths.ClusterBackendMemory, fullOnly: true,
+			fullOnly: true,
 		})
 	}
 	return specs
@@ -255,7 +255,6 @@ func measureCluster(spec clusterSpec, stages int) (ClusterResult, error) {
 		sc = rths.ClusterFaults()
 	}
 	sc.Channels, sc.TotalPeers, sc.Helpers = spec.channels, spec.peers, spec.helpers
-	sc.Backend = spec.backend
 	sc.EpochStages = 25
 	sc.FlashPeers = 0
 	if spec.churn {
@@ -271,6 +270,11 @@ func measureCluster(spec clusterSpec, stages int) (ClusterResult, error) {
 	cfg, err := sc.Build()
 	if err != nil {
 		return ClusterResult{}, fmt.Errorf("%s: %w", spec.name, err)
+	}
+	if spec.distsim {
+		// A perfect link needs message passing but drops, delays and
+		// draws nothing, so the row runs the memory row's trajectory.
+		cfg.Link = rths.LossyLink{}
 	}
 	if spec.telemetry {
 		cfg.Metrics = rths.NewTelemetryRegistry()

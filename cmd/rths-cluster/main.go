@@ -8,7 +8,6 @@
 //	rths-cluster -preset small
 //	rths-cluster -preset scale -epochs 8
 //	rths-cluster -channels 20 -peers 2000 -helpers 40 -alloc greedy
-//	rths-cluster -preset small -backend distsim
 //	rths-cluster -preset churn
 //	rths-cluster -preset small -churn-arrival 2 -churn-lifetime 50 -churn-switch 0.01
 //	rths-cluster -preset views
@@ -63,13 +62,14 @@
 // stage, composing with the resident Markov switching, flash crowds and
 // re-allocation epochs — and emits the same per-epoch JSON records.
 //
-// A fixed (-seed) run is bit-reproducible on any host: the memory backend
-// steps channels on a pool only when the host has several cores and the
-// stage is big, and channels never share a random stream, so the pool
-// changes wall-clock time, never output. With -backend distsim the same
-// scenario runs on the batched message-passing runtime (one node per
-// channel manager and per helper) and emits the same metrics bit-for-bit
-// — replayed workloads included.
+// The run picks its own execution backend. Lossy links, a fault plan and
+// the detector need message passing, so a run with any of them (-preset
+// faults, or -fault-* flags that configure one) steps on the batched
+// distsim runtime, with one node per channel manager and per helper.
+// Every other run steps channels on shared memory, on a pool only when
+// the host has several cores and the stage is big. Channels never share a
+// random stream, so a fixed (-seed) run is bit-reproducible on any host,
+// and at zero loss the two backends emit the same metrics bit-for-bit.
 package main
 
 import (
@@ -106,17 +106,6 @@ func parseAllocator(name string) (rths.ClusterAllocator, error) {
 		return rths.ClusterAllocStatic, nil
 	default:
 		return 0, fmt.Errorf("unknown allocator %q (greedy, proportional, static)", name)
-	}
-}
-
-func parseBackend(name string) (rths.ClusterBackend, error) {
-	switch name {
-	case "memory":
-		return rths.ClusterBackendMemory, nil
-	case "distsim":
-		return rths.ClusterBackendDistsim, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q (memory, distsim)", name)
 	}
 }
 
@@ -157,7 +146,6 @@ func run(args []string, out, errOut io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (\":0\" picks a free port)")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics server up this long after the run completes")
 	allocName := fs.String("alloc", "", "allocator: greedy, proportional or static")
-	backendName := fs.String("backend", "", "execution backend: memory or distsim")
 	seed := fs.Uint64("seed", 0, "override seed (0 keeps the preset's)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -277,13 +265,6 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		sc.Allocator = kind
 	}
-	if *backendName != "" {
-		kind, err := parseBackend(*backendName)
-		if err != nil {
-			return err
-		}
-		sc.Backend = kind
-	}
 	if *seed != 0 {
 		sc.Seed = *seed
 	}
@@ -369,8 +350,8 @@ func run(args []string, out, errOut io.Writer) error {
 		return encErr
 	}
 	fmt.Fprintf(errOut,
-		"cluster: %d channels × %d viewers, %d helpers, alloc=%v backend=%v view=%d mode=%s | %d epochs × %d stages | moves=%d switches=%d joins=%d leaves=%d | final welfare_ratio=%.4f continuity=%.4f max_deficit=%.0f kbps\n",
-		c.NumChannels(), c.ActivePeers(), c.NumHelpers(), sc.Allocator, sc.Backend, sc.ViewSize, mode,
+		"cluster: %d channels × %d viewers, %d helpers, alloc=%v view=%d mode=%s | %d epochs × %d stages | moves=%d switches=%d joins=%d leaves=%d | final welfare_ratio=%.4f continuity=%.4f max_deficit=%.0f kbps\n",
+		c.NumChannels(), c.ActivePeers(), c.NumHelpers(), sc.Allocator, sc.ViewSize, mode,
 		c.Epoch(), sc.EpochStages, moves, switches, joins, leaves, lastRatio, lastContinuity, lastMaxDef)
 	if evicted > 0 || readmitted > 0 || lateServed > 0 || lastDown > 0 {
 		fmt.Fprintf(errOut,

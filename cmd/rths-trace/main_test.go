@@ -32,7 +32,6 @@ func faultTrace(t *testing.T, seed uint64) ([]byte, []cluster.EpochMetrics) {
 			{Name: "c7", Bitrate: 300, InitialPeers: 10},
 		},
 		Helpers:     cluster.UniformHelpers(90, core.DefaultHelperSpec()),
-		Backend:     cluster.BackendDistsim,
 		EpochStages: 10,
 		Seed:        seed,
 		Switching:   &cluster.SwitchingConfig{SwitchProb: 0.02, ZipfS: 0.8},

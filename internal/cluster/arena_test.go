@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"rths/internal/distsim"
 	"rths/internal/trace"
 )
 
@@ -45,12 +46,12 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 	if events < 10000 {
 		t.Fatalf("workload carries %d churn events, want >= 10000", events)
 	}
-	run := func(backend BackendKind, procs int) ([]EpochMetrics, *Cluster) {
-		c, err := New(viewsConfig(83, backend, 8)) // pool 48 >> view 8: views engaged
+	run := func(link distsim.LinkModel, procs int) ([]EpochMetrics, *Cluster) {
+		c, err := New(viewsConfig(83, link, 8)) // pool 48 >> view 8: views engaged
 		if err != nil {
 			t.Fatal(err)
 		}
-		if backend == BackendMemory {
+		if link == nil {
 			forcePool(t, c, procs)
 		}
 		w := arenaChurnWorkload(t, horizon, 29)
@@ -73,7 +74,7 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 			}
 		}
 	}
-	ref, c1 := run(BackendMemory, 1)
+	ref, c1 := run(nil, 1)
 	checkDense(1, c1)
 	c1.Close()
 	var joins, leaves, switches int
@@ -86,7 +87,7 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		t.Fatalf("replay applied %d events, want >= 10000 (joins=%d leaves=%d switches=%d)",
 			joins+leaves+switches, joins, leaves, switches)
 	}
-	got, c := run(BackendMemory, 4)
+	got, c := run(nil, 4)
 	checkDense(4, c)
 	c.Close()
 	if len(got) != len(ref) {
@@ -97,7 +98,7 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, got[e], ref[e])
 		}
 	}
-	dist, cd := run(BackendDistsim, 0)
+	dist, cd := run(distsim.Lossy{}, 0)
 	cd.Close()
 	if len(dist) != len(ref) {
 		t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))

@@ -4,12 +4,27 @@ import (
 	"testing"
 
 	"rths/internal/core"
+	"rths/internal/distsim"
 )
+
+// links are the two legs of every backend-parity test. No link builds the
+// memory backend. A perfect link builds the distsim backend, and since it
+// drops, delays and draws nothing, the two legs must agree bit for bit.
+var links = []distsim.LinkModel{nil, distsim.Lossy{}}
+
+// backendName labels a leg of links in failure messages.
+func backendName(link distsim.LinkModel) string {
+	if link == nil {
+		return "memory"
+	}
+	return "distsim"
+}
 
 // fourChannelConfig is the acceptance shape: 4 channels with skewed
 // audiences, Markov switching, a flash crowd on the coldest channel, and
 // re-allocation epochs — every dynamic the runtime has, in one scenario.
-func fourChannelConfig(seed uint64, backend BackendKind) Config {
+// A nil link runs it on the memory backend, any other on distsim.
+func fourChannelConfig(seed uint64, link distsim.LinkModel) Config {
 	return Config{
 		Channels: []ChannelSpec{
 			{Name: "hot", Bitrate: 600, InitialPeers: 30},
@@ -18,7 +33,7 @@ func fourChannelConfig(seed uint64, backend BackendKind) Config {
 			{Name: "cold-b", Bitrate: 600, InitialPeers: 5},
 		},
 		Helpers:     UniformHelpers(40, core.DefaultHelperSpec()),
-		Backend:     backend,
+		Link:        link,
 		EpochStages: 20,
 		Seed:        seed,
 		Switching:   &SwitchingConfig{SwitchProb: 0.05, ZipfS: 0.8},
@@ -33,8 +48,8 @@ func fourChannelConfig(seed uint64, backend BackendKind) Config {
 // 4-channel scenario with switching, a flash crowd, and re-allocation
 // epochs.
 func TestDistsimBackendBitIdentical(t *testing.T) {
-	run := func(backend BackendKind) []EpochMetrics {
-		c, err := New(fourChannelConfig(101, backend))
+	run := func(link distsim.LinkModel) []EpochMetrics {
+		c, err := New(fourChannelConfig(101, link))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +60,7 @@ func TestDistsimBackendBitIdentical(t *testing.T) {
 		}
 		return out
 	}
-	mem := run(BackendMemory)
+	mem := run(nil)
 	moved, switched := 0, 0
 	for _, m := range mem {
 		moved += m.Moves
@@ -54,7 +69,7 @@ func TestDistsimBackendBitIdentical(t *testing.T) {
 	if moved == 0 || switched == 0 {
 		t.Fatalf("scenario inert (moves=%d switches=%d); parity test does not cover migration", moved, switched)
 	}
-	dist := run(BackendDistsim)
+	dist := run(distsim.Lossy{})
 	if len(dist) != len(mem) {
 		t.Fatalf("epoch counts differ: %d vs %d", len(dist), len(mem))
 	}
@@ -70,8 +85,8 @@ func TestDistsimBackendBitIdentical(t *testing.T) {
 // static path the no-migration boundary.
 func TestBackendsAgreeAcrossAllocators(t *testing.T) {
 	for _, kind := range []AllocatorKind{AllocGreedy, AllocProportional, AllocStatic} {
-		run := func(backend BackendKind) []EpochMetrics {
-			cfg := fourChannelConfig(7, backend)
+		run := func(link distsim.LinkModel) []EpochMetrics {
+			cfg := fourChannelConfig(7, link)
 			cfg.Allocator = kind
 			c, err := New(cfg)
 			if err != nil {
@@ -84,11 +99,41 @@ func TestBackendsAgreeAcrossAllocators(t *testing.T) {
 			}
 			return out
 		}
-		mem, dist := run(BackendMemory), run(BackendDistsim)
+		mem, dist := run(nil), run(distsim.Lossy{})
 		for e := range mem {
 			if dist[e] != mem[e] {
 				t.Fatalf("allocator %v epoch %d diverges:\n distsim %+v\n memory  %+v", kind, e, dist[e], mem[e])
 			}
+		}
+	}
+}
+
+// TestNewDerivesBackend pins how New picks the backend: a config with
+// none of Link, Faults or Detector steps on shared memory, and each one
+// alone, even at its zero value, needs message passing and builds distsim.
+func TestNewDerivesBackend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		dist bool
+	}{
+		{"none", func(*Config) {}, false},
+		{"perfect link", func(cfg *Config) { cfg.Link = distsim.Lossy{} }, true},
+		{"empty fault plan", func(cfg *Config) { cfg.Faults = &distsim.FaultPlan{} }, true},
+		{"default detector", func(cfg *Config) { cfg.Detector = &DetectorConfig{} }, true},
+	} {
+		cfg := fourChannelConfig(1, nil)
+		tc.set(&cfg)
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, dist := c.backend.(*distBackend)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dist != tc.dist {
+			t.Fatalf("%s: built %T, want distsim=%v", tc.name, c.backend, tc.dist)
 		}
 	}
 }
@@ -98,14 +143,15 @@ func TestBackendsAgreeAcrossAllocators(t *testing.T) {
 // succeed because additions precede removals — at no point is a channel
 // empty, even though both channels lose their only helper.
 func TestMigrateSwapLastHelpers(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "a", Bitrate: 500, InitialPeers: 4},
 				{Name: "b", Bitrate: 500, InitialPeers: 4},
 			},
 			Helpers:     UniformHelpers(2, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 5,
 			Seed:        3,
 		})
@@ -179,14 +225,15 @@ func TestEveryChannelKeepsAHelperUnderPressure(t *testing.T) {
 // while every affected learner's action set tracks its channel's live
 // pool (joiners sized to the post-migration pool included).
 func TestMigrationIntoFlashCrowdChannel(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "hot", Bitrate: 500, InitialPeers: 20},
 				{Name: "cold", Bitrate: 500, InitialPeers: 2},
 			},
 			Helpers:     UniformHelpers(10, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 10,
 			Seed:        13,
 			// The crowd lands mid-epoch, between two boundaries.
@@ -207,7 +254,7 @@ func TestMigrationIntoFlashCrowdChannel(t *testing.T) {
 			t.Fatalf("backend %v: flash channel pool %d -> %d, want growth",
 				backend, before, c.ChannelPool(1))
 		}
-		if backend == BackendMemory {
+		if link == nil {
 			for ci := 0; ci < c.NumChannels(); ci++ {
 				sys := c.backend.(*memBackend).channels[ci].sys
 				if sys.NumHelpers() != c.ChannelPool(ci) {
@@ -233,14 +280,15 @@ func TestMigrationIntoFlashCrowdChannel(t *testing.T) {
 // fresh bandwidth chain, consistent pool bookkeeping, learners resized on
 // both hops.
 func TestReAddPreviouslyRemovedHelper(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "a", Bitrate: 500, InitialPeers: 6},
 				{Name: "b", Bitrate: 500, InitialPeers: 6},
 			},
 			Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 5,
 			Seed:        29,
 		})

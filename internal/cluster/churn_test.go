@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rths/internal/core"
+	"rths/internal/distsim"
 	"rths/internal/trace"
 )
 
@@ -33,14 +34,15 @@ func churnWorkload(t *testing.T, horizon int, seed uint64) *trace.Workload {
 // backends: joins with sparse ids, duplicate-join and unknown-leave
 // rejection, and the atomic Switch (a bad target must not drop the viewer).
 func TestChurnOpsGlobalIDs(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "a", Bitrate: 500, InitialPeers: 3},
 				{Name: "b", Bitrate: 500, InitialPeers: 2},
 			},
 			Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 5,
 			Seed:        31,
 		})
@@ -249,14 +251,15 @@ func TestReplayWorkload(t *testing.T) {
 // backends: the pair must cancel out before the next step — on distsim both
 // ops sit in the same round's queue and apply in order.
 func TestJoinLeaveSameStage(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "a", Bitrate: 500, InitialPeers: 4},
 				{Name: "b", Bitrate: 500, InitialPeers: 4},
 			},
 			Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 5,
 			Seed:        37,
 		})
@@ -303,14 +306,15 @@ func TestJoinLeaveSameStage(t *testing.T) {
 // the crowd lands must coexist with the crowd's joins (on distsim, the
 // switch's remove+add and the flash joins share one round's op queue).
 func TestSwitchIntoFlashCrowdChannel(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "calm", Bitrate: 500, InitialPeers: 6},
 				{Name: "flash", Bitrate: 500, InitialPeers: 2},
 			},
 			Helpers:     UniformHelpers(6, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 10,
 			Seed:        41,
 			Flash:       []FlashCrowd{{Stage: 3, Channel: 1, Peers: 20}},
@@ -360,14 +364,15 @@ func TestSwitchIntoFlashCrowdChannel(t *testing.T) {
 // the same global id re-joins afterwards — the id must be re-integrated
 // cleanly on the migrated pools, on both backends.
 func TestBoundaryBetweenLeaveAndRejoin(t *testing.T) {
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	for _, link := range links {
+		backend := backendName(link)
 		c, err := New(Config{
 			Channels: []ChannelSpec{
 				{Name: "a", Bitrate: 600, InitialPeers: 8},
 				{Name: "b", Bitrate: 600, InitialPeers: 8},
 			},
 			Helpers:     UniformHelpers(8, core.DefaultHelperSpec()),
-			Backend:     backend,
+			Link:        link,
 			EpochStages: 5,
 			Seed:        43,
 		})
@@ -406,7 +411,7 @@ func TestBoundaryBetweenLeaveAndRejoin(t *testing.T) {
 		if got, want := c.ActivePeers(), 16; got != want {
 			t.Fatalf("backend %v: active %d, want %d", backend, got, want)
 		}
-		if backend == BackendMemory {
+		if link == nil {
 			for ci := 0; ci < c.NumChannels(); ci++ {
 				sys := c.backend.(*memBackend).channels[ci].sys
 				if sys.NumPeers() != c.ChannelAudience(ci) {
@@ -445,7 +450,7 @@ func TestReplayShortHorizonDropsLateEvents(t *testing.T) {
 			expected--
 		}
 	}
-	c, err := New(fourChannelConfig(51, BackendMemory))
+	c, err := New(fourChannelConfig(51, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +473,7 @@ func TestReplayShortHorizonDropsLateEvents(t *testing.T) {
 // with Stages reporting the partial epoch's true length.
 func TestReplayFlushesPartialEpoch(t *testing.T) {
 	w := churnWorkload(t, 50, 13)
-	c, err := New(fourChannelConfig(53, BackendMemory)) // EpochStages = 20
+	c, err := New(fourChannelConfig(53, nil)) // EpochStages = 20
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,13 +498,13 @@ func TestReplayFlushesPartialEpoch(t *testing.T) {
 // on the channel pool, AND on the distsim backend at zero link loss.
 func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	const horizon = 80 // 4 epochs at EpochStages=20
-	run := func(backend BackendKind, procs int) []EpochMetrics {
-		c, err := New(fourChannelConfig(61, backend))
+	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
+		c, err := New(fourChannelConfig(61, link))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if backend == BackendMemory {
+		if link == nil {
 			forcePool(t, c, procs)
 		}
 		w := churnWorkload(t, horizon, 17)
@@ -509,7 +514,7 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(BackendMemory, 1)
+	ref := run(nil, 1)
 	var joins, leaves, switches, moves int
 	for _, m := range ref {
 		joins += m.Joins
@@ -521,7 +526,7 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		t.Fatalf("replay scenario inert (joins=%d leaves=%d switches=%d moves=%d); parity not exercised",
 			joins, leaves, switches, moves)
 	}
-	pooled := run(BackendMemory, 4)
+	pooled := run(nil, 4)
 	if len(pooled) != len(ref) {
 		t.Fatalf("pool epochs %d vs %d", len(pooled), len(ref))
 	}
@@ -530,7 +535,7 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatalf("pool epoch %d diverges:\n pool   %+v\n inline %+v", e, pooled[e], ref[e])
 		}
 	}
-	dist := run(BackendDistsim, 0)
+	dist := run(distsim.Lossy{}, 0)
 	if len(dist) != len(ref) {
 		t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
 	}
@@ -547,14 +552,14 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 // aggregates, stage number) must be bit-identical at zero link loss, under
 // churn applied between stages.
 func TestChannelStageResultBackendsAgree(t *testing.T) {
-	build := func(backend BackendKind) *Cluster {
-		c, err := New(fourChannelConfig(71, backend))
+	build := func(link distsim.LinkModel) *Cluster {
+		c, err := New(fourChannelConfig(71, link))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	mem, dist := build(BackendMemory), build(BackendDistsim)
+	mem, dist := build(nil), build(distsim.Lossy{})
 	defer mem.Close()
 	defer dist.Close()
 	w := churnWorkload(t, 12, 23)
@@ -593,12 +598,12 @@ func TestReplayTotalsMatchesReplayMembership(t *testing.T) {
 	const horizon = 60
 	w1 := churnWorkload(t, horizon, 19)
 	w2 := churnWorkload(t, horizon, 19)
-	a, err := New(fourChannelConfig(67, BackendMemory))
+	a, err := New(fourChannelConfig(67, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := New(fourChannelConfig(67, BackendMemory))
+	b, err := New(fourChannelConfig(67, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,15 @@
 // into one engine with two loops:
 //
 //   - The stage loop steps every channel. Channels are independent systems
-//     with private RNG streams, so the director hands each stage to a
-//     pluggable execution backend: the shared-memory backend steps channels
-//     inline, or on a channel pool it derives from GOMAXPROCS and the stage
-//     size; the distsim backend runs them as message-passing nodes on
-//     internal/distsim. Per-epoch aggregates are reduced in channel-index
-//     order either way, so results are bit-identical with the pool on or
-//     off AND on both backends at zero link latency/drop (pinned by
+//     with private RNG streams, so the director hands each stage to an
+//     execution backend that New derives from the config: when any of
+//     Link, Faults or Detector is set the channels run as message-passing
+//     nodes on internal/distsim, and otherwise the shared-memory backend
+//     steps them inline, or on a channel pool it derives from GOMAXPROCS
+//     and the stage size. A perfect link (distsim.Lossy{}) runs distsim at
+//     zero loss. Per-epoch aggregates are reduced in channel-index order
+//     either way, so results are bit-identical with the pool on or off AND
+//     on both backends at zero link latency/drop (pinned by
 //     TestDeterministicAcrossWorkers and TestDistsimBackendBitIdentical).
 //
 //   - The churn surface addresses viewers by global id: Join/Leave/Switch
@@ -84,34 +86,6 @@ func (k AllocatorKind) String() string {
 	}
 }
 
-// BackendKind selects the execution backend the director drives.
-type BackendKind int
-
-// Execution backends.
-const (
-	// BackendMemory steps channels as shared-memory core.Systems, on a
-	// channel pool when the host and the stage are big enough; the
-	// default.
-	BackendMemory BackendKind = iota
-	// BackendDistsim runs every channel as a manager node and every helper
-	// as its own node on the batched message-passing runtime
-	// (internal/distsim). At zero link latency/drop the per-epoch metrics
-	// are bit-identical to BackendMemory. Call Cluster.Close to join the
-	// node goroutines.
-	BackendDistsim
-)
-
-func (k BackendKind) String() string {
-	switch k {
-	case BackendMemory:
-		return "memory"
-	case BackendDistsim:
-		return "distsim"
-	default:
-		return fmt.Sprintf("BackendKind(%d)", int(k))
-	}
-}
-
 // ChannelSpec describes one live channel.
 type ChannelSpec struct {
 	// Name identifies the channel in results.
@@ -149,10 +123,6 @@ type Config struct {
 	Helpers []core.HelperSpec
 	// Allocator picks the re-allocation policy (default AllocGreedy).
 	Allocator AllocatorKind
-	// Backend picks the execution backend (default BackendMemory). With
-	// BackendDistsim, call Cluster.Close when done to join the node
-	// goroutines.
-	Backend BackendKind
 	// EpochStages is the number of stages between re-allocation epochs
 	// (default 50).
 	EpochStages int
@@ -165,10 +135,10 @@ type Config struct {
 	Seed uint64
 	// Factory builds selection policies (nil = RTHS learners). Policies
 	// must implement core.DynamicSelector for helper migration to work.
-	// With BackendDistsim the factory is called from channel-manager
-	// goroutines — different channels concurrently — so it must be safe
-	// for concurrent use (stateless factories, like every factory in this
-	// repository, are).
+	// On the distsim backend (any of Link, Faults or Detector set) the
+	// factory is called from channel-manager goroutines — different
+	// channels concurrently — so it must be safe for concurrent use
+	// (stateless factories, like every factory in this repository, are).
 	Factory core.SelectorFactory
 	// Switching enables Markov channel-switching viewers (nil disables).
 	Switching *SwitchingConfig
@@ -193,25 +163,28 @@ type Config struct {
 	// ViewRefresh is the partial-view refresh period in stages (see
 	// core.Config.ViewRefresh; 0 = default, negative disables).
 	ViewRefresh int
-	// Link, with BackendDistsim, adjudicates every data-plane message of
-	// the message-passing runtime (nil = perfect links — the bit-identical
-	// configuration). Rejected with BackendMemory, which has no links to
-	// fail. LinkSeed derives the link streams.
+	// Link, Faults and Detector need message passing: when any of them is
+	// set, New runs every channel as a manager node and every helper as
+	// its own node on the batched distsim runtime, and Close joins the
+	// node goroutines. With none set the channels step on shared memory.
+	//
+	// Link adjudicates every data-plane message of the message-passing
+	// runtime. A perfect link (distsim.Lossy{}) drops and delays nothing
+	// and draws no random numbers, so it runs distsim bit-identically to
+	// the memory backend. LinkSeed derives the link streams.
 	Link     distsim.LinkModel
 	LinkSeed uint64
-	// Faults, with BackendDistsim, schedules deterministic faults on the
-	// runtime (see distsim.FaultPlan): fail-stop helper crashes with
-	// recovery, regional partitions over fault domains (domains index
-	// this config's global helpers and channels), and the queueing
-	// semantics switch for late batches. Rejected with BackendMemory. The
-	// epoch MaxDeficit metric is fault-honest whenever Faults is set:
-	// helpers the plan makes unreachable at the boundary count zero
-	// expected capacity, detector or no detector.
+	// Faults schedules deterministic faults on the runtime (see
+	// distsim.FaultPlan): fail-stop helper crashes with recovery,
+	// regional partitions over fault domains (domains index this config's
+	// global helpers and channels), and the queueing semantics switch for
+	// late batches. The epoch MaxDeficit metric is fault-honest whenever
+	// Faults is set: helpers the plan makes unreachable at the boundary
+	// count zero expected capacity, detector or no detector.
 	Faults *distsim.FaultPlan
 	// Detector enables failure-aware eviction (see DetectorConfig):
 	// helpers that miss consecutive capacity replies are evicted through
-	// the regular churn path and readmitted after probation. Requires
-	// BackendDistsim.
+	// the regular churn path and readmitted after probation.
 	Detector *DetectorConfig
 	// Metrics, when non-nil, registers the cluster's instrument set on the
 	// registry: epoch gauges (welfare ratio, continuity, max deficit,
@@ -506,11 +479,6 @@ func New(cfg Config) (*Cluster, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown allocator %v", cfg.Allocator)
 	}
-	switch cfg.Backend {
-	case BackendMemory, BackendDistsim:
-	default:
-		return nil, fmt.Errorf("cluster: unknown backend %v", cfg.Backend)
-	}
 	if cfg.ViewSize < 0 {
 		return nil, fmt.Errorf("cluster: ViewSize=%d", cfg.ViewSize)
 	}
@@ -520,20 +488,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SeriesEvery > 0 && cfg.Trace == nil {
 		return nil, fmt.Errorf("cluster: SeriesEvery=%d requires Trace", cfg.SeriesEvery)
 	}
-	if cfg.Link != nil && cfg.Backend != BackendDistsim {
-		return nil, errors.New("cluster: Link requires BackendDistsim")
-	}
-	if cfg.Faults != nil && cfg.Backend != BackendDistsim {
-		return nil, errors.New("cluster: Faults requires BackendDistsim")
-	}
 	if cfg.Detector != nil {
-		if cfg.Backend != BackendDistsim {
-			return nil, errors.New("cluster: Detector requires BackendDistsim")
-		}
 		if err := cfg.Detector.validate(); err != nil {
 			return nil, err
 		}
 	}
+	dist := cfg.Link != nil || cfg.Faults != nil || cfg.Detector != nil
 	c := &Cluster{
 		byPeer:      make(map[int]location),
 		allocator:   cfg.Allocator,
@@ -622,7 +582,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.tel = newClusterTelemetry(cfg.Metrics, names, len(cfg.Helpers))
 	c.trace = cfg.Trace
 	c.seriesEvery = cfg.SeriesEvery
-	if c.tel.enabled && cfg.Backend == BackendDistsim {
+	if c.tel.enabled && dist {
 		// Keep a few rounds of spans per channel; bound the ring so a
 		// 1k-channel fleet stays at fixed memory.
 		capacity := 8 * len(cfg.Channels)
@@ -650,10 +610,9 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	switch cfg.Backend {
-	case BackendDistsim:
+	if dist {
 		c.backend, err = newDistBackend(cfg, c.assign, seeds, scale, c.startup, c.tel.batchSizes, c.spans)
-	default:
+	} else {
 		c.backend, err = newMemBackend(cfg, c.assign, seeds, scale, c.startup)
 	}
 	if err != nil {
@@ -738,8 +697,9 @@ func (c *Cluster) Assignment() alloc.Assignment {
 	return append(alloc.Assignment(nil), c.assign...)
 }
 
-// Close releases the execution backend. It is required for BackendDistsim
-// (the node goroutines are joined) and a no-op for BackendMemory.
+// Close releases the execution backend. It joins the node goroutines of
+// the distsim backend (built when any of Link, Faults or Detector is set)
+// and is a no-op on the memory backend.
 func (c *Cluster) Close() error { return c.backend.close() }
 
 // MaxDeficit evaluates the current assignment against the channels'

@@ -27,7 +27,6 @@ func faultConfig(seed uint64, detector bool) Config {
 			{Name: "c7", Bitrate: 300, InitialPeers: 10},
 		},
 		Helpers:     UniformHelpers(90, core.DefaultHelperSpec()),
-		Backend:     BackendDistsim,
 		EpochStages: 10,
 		Seed:        seed,
 		Switching:   &SwitchingConfig{SwitchProb: 0.02, ZipfS: 0.8},
@@ -52,22 +51,8 @@ func faultConfig(seed uint64, detector bool) Config {
 }
 
 func TestFaultConfigValidation(t *testing.T) {
-	t.Run("faults require distsim", func(t *testing.T) {
-		cfg := fourChannelConfig(1, BackendMemory)
-		cfg.Faults = &distsim.FaultPlan{}
-		if _, err := New(cfg); err == nil {
-			t.Fatal("Faults accepted on the memory backend")
-		}
-	})
-	t.Run("detector requires distsim", func(t *testing.T) {
-		cfg := fourChannelConfig(1, BackendMemory)
-		cfg.Detector = &DetectorConfig{}
-		if _, err := New(cfg); err == nil {
-			t.Fatal("Detector accepted on the memory backend")
-		}
-	})
 	t.Run("detector rejects negatives", func(t *testing.T) {
-		cfg := fourChannelConfig(1, BackendDistsim)
+		cfg := fourChannelConfig(1, nil)
 		cfg.Detector = &DetectorConfig{SuspectAfter: -1}
 		if _, err := New(cfg); err == nil {
 			t.Fatal("negative SuspectAfter accepted")
@@ -78,7 +63,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		}
 	})
 	t.Run("invalid plan surfaces", func(t *testing.T) {
-		cfg := fourChannelConfig(1, BackendDistsim)
+		cfg := fourChannelConfig(1, nil)
 		cfg.Faults = &distsim.FaultPlan{HelperDomains: []int{0}}
 		if _, err := New(cfg); err == nil {
 			t.Fatal("fault plan with wrong domain length accepted")
@@ -129,10 +114,11 @@ func TestFaultRunReproducible(t *testing.T) {
 // TestEmptyFaultPlanMatchesMemory pins that an empty fault plan is
 // semantically free: a distsim run carrying &FaultPlan{} (no crashes, no
 // partitions, no queueing, clean links) reproduces the memory backend's
-// per-epoch metrics bit-identically, fault counters all zero.
+// per-epoch metrics bit-identically, fault counters all zero. The plan
+// alone is what builds the distsim backend.
 func TestEmptyFaultPlanMatchesMemory(t *testing.T) {
-	run := func(backend BackendKind, plan *distsim.FaultPlan) []EpochMetrics {
-		cfg := fourChannelConfig(101, backend)
+	run := func(plan *distsim.FaultPlan) []EpochMetrics {
+		cfg := fourChannelConfig(101, nil)
 		cfg.Faults = plan
 		c, err := New(cfg)
 		if err != nil {
@@ -145,8 +131,8 @@ func TestEmptyFaultPlanMatchesMemory(t *testing.T) {
 		}
 		return out
 	}
-	mem := run(BackendMemory, nil)
-	dist := run(BackendDistsim, &distsim.FaultPlan{})
+	mem := run(nil)
+	dist := run(&distsim.FaultPlan{})
 	if len(dist) != len(mem) {
 		t.Fatalf("epoch counts differ: %d vs %d", len(dist), len(mem))
 	}
@@ -249,7 +235,7 @@ func TestDetectorRecoversFromPartition(t *testing.T) {
 // the late batches they defer surface in the LateServed epoch counter.
 func TestClusterQueueingBeatsLoss(t *testing.T) {
 	run := func(queueing bool) (welfare float64, lateServed int) {
-		cfg := fourChannelConfig(55, BackendDistsim)
+		cfg := fourChannelConfig(55, distsim.Lossy{})
 		cfg.Link = distsim.Lossy{DelayProb: 0.25, MaxDelay: 1}
 		cfg.LinkSeed = 13
 		cfg.Faults = &distsim.FaultPlan{Queueing: queueing}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rths/internal/core"
+	"rths/internal/distsim"
 	"rths/internal/telemetry"
 )
 
@@ -32,9 +33,9 @@ func runEpochs(t *testing.T, cfg Config, epochs int) []EpochMetrics {
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	const epochs = 3
 	t.Run("memory workers", func(t *testing.T) {
-		base := runEpochs(t, fourChannelConfig(11, BackendMemory), epochs)
+		base := runEpochs(t, fourChannelConfig(11, nil), epochs)
 		for _, procs := range []int{1, 4} {
-			cfg := fourChannelConfig(11, BackendMemory)
+			cfg := fourChannelConfig(11, nil)
 			cfg.Metrics = telemetry.NewRegistry()
 			cfg.Trace = telemetry.NewTracer(&bytes.Buffer{})
 			cfg.SeriesEvery = 5
@@ -75,7 +76,7 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 // obey the 2H+2C-per-round protocol cost (plus migration hand-offs).
 func TestClusterMetricsPopulated(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := fourChannelConfig(31, BackendDistsim)
+	cfg := fourChannelConfig(31, distsim.Lossy{})
 	cfg.Metrics = reg
 	c, err := New(cfg)
 	if err != nil {
@@ -251,7 +252,7 @@ func TestTraceDetectorTimeline(t *testing.T) {
 // profile gauges.
 func TestDimensionalSeriesExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := fourChannelConfig(13, BackendDistsim)
+	cfg := fourChannelConfig(13, distsim.Lossy{})
 	cfg.Metrics = reg
 	if _, err := runOne(t, cfg); err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func runOne(t *testing.T, cfg Config) (EpochMetrics, error) {
 // label value is escaped per the Prometheus text format end to end.
 func TestHostileChannelNameEscapedOnMetricsPage(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := fourChannelConfig(17, BackendMemory)
+	cfg := fourChannelConfig(17, nil)
 	cfg.Channels[1].Name = "evil\"quote\\slash\nnewline"
 	cfg.Metrics = reg
 	if _, err := runOne(t, cfg); err != nil {
@@ -343,7 +344,7 @@ func TestBarrierTaxSkewVsUniform(t *testing.T) {
 				{Name: "d", Bitrate: 600, InitialPeers: peers[3]},
 			},
 			Helpers:     UniformHelpers(40, core.DefaultHelperSpec()),
-			Backend:     BackendDistsim,
+			Link:        distsim.Lossy{},
 			EpochStages: 20,
 			Seed:        29,
 			Metrics:     telemetry.NewRegistry(),

@@ -11,9 +11,9 @@ import (
 
 // viewsConfig is the fourChannelConfig shape with enough helpers that
 // every channel's pool exceeds the view bound, so partial views engage in
-// every channel.
-func viewsConfig(seed uint64, backend BackendKind, viewSize int) Config {
-	cfg := fourChannelConfig(seed, backend)
+// every channel. As there, a nil link runs it on the memory backend.
+func viewsConfig(seed uint64, link distsim.LinkModel, viewSize int) Config {
+	cfg := fourChannelConfig(seed, link)
 	cfg.Helpers = UniformHelpers(48, core.DefaultHelperSpec())
 	cfg.ViewSize = viewSize
 	cfg.ViewRefresh = 10
@@ -24,8 +24,8 @@ func viewsConfig(seed uint64, backend BackendKind, viewSize int) Config {
 // ViewSize at or above every channel's pool are the same engine,
 // bit-for-bit, on both backends.
 func TestClusterViewEquivalenceFullView(t *testing.T) {
-	run := func(backend BackendKind, viewSize int) []EpochMetrics {
-		c, err := New(viewsConfig(33, backend, viewSize))
+	run := func(link distsim.LinkModel, viewSize int) []EpochMetrics {
+		c, err := New(viewsConfig(33, link, viewSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,13 +36,13 @@ func TestClusterViewEquivalenceFullView(t *testing.T) {
 		}
 		return out
 	}
-	base := run(BackendMemory, 0)
-	for _, backend := range []BackendKind{BackendMemory, BackendDistsim} {
+	base := run(nil, 0)
+	for _, link := range links {
 		// 48 is the whole pool, so no channel's pool can exceed it.
-		got := run(backend, 48)
+		got := run(link, 48)
 		for e := range base {
 			if got[e] != base[e] {
-				t.Fatalf("backend=%v epoch %d diverges:\n got  %+v\n want %+v", backend, e, got[e], base[e])
+				t.Fatalf("backend=%s epoch %d diverges:\n got  %+v\n want %+v", backendName(link), e, got[e], base[e])
 			}
 		}
 	}
@@ -55,13 +55,13 @@ func TestClusterViewEquivalenceFullView(t *testing.T) {
 // perturb them. The scenario keeps switching, a flash crowd and
 // re-allocation epochs on, so views compose with every churn source.
 func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
-	run := func(backend BackendKind, procs int) []EpochMetrics {
-		c, err := New(viewsConfig(101, backend, 4))
+	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
+		c, err := New(viewsConfig(101, link, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if backend == BackendMemory {
+		if link == nil {
 			forcePool(t, c, procs)
 		}
 		var out []EpochMetrics
@@ -70,7 +70,7 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		}
 		return out
 	}
-	base := run(BackendMemory, 1)
+	base := run(nil, 1)
 	moves, switches := 0, 0
 	for _, m := range base {
 		moves += m.Moves
@@ -79,13 +79,13 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	if moves == 0 || switches == 0 {
 		t.Fatalf("scenario inert (moves=%d switches=%d); parity test does not cover view-aware migration", moves, switches)
 	}
-	pooled := run(BackendMemory, 4)
+	pooled := run(nil, 4)
 	for e := range base {
 		if pooled[e] != base[e] {
 			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, pooled[e], base[e])
 		}
 	}
-	dist := run(BackendDistsim, 0)
+	dist := run(distsim.Lossy{}, 0)
 	for e := range base {
 		if dist[e] != base[e] {
 			t.Fatalf("distsim epoch %d diverges:\n got  %+v\n want %+v", e, dist[e], base[e])
@@ -97,8 +97,8 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 // on both backends.
 func TestClusterPartialViewsReplayBitIdentical(t *testing.T) {
 	w := churnWorkload(t, 80, 12)
-	run := func(backend BackendKind) []EpochMetrics {
-		c, err := New(viewsConfig(55, backend, 4))
+	run := func(link distsim.LinkModel) []EpochMetrics {
+		c, err := New(viewsConfig(55, link, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestClusterPartialViewsReplayBitIdentical(t *testing.T) {
 		}
 		return out
 	}
-	mem, dist := run(BackendMemory), run(BackendDistsim)
+	mem, dist := run(nil), run(distsim.Lossy{})
 	if len(mem) == 0 || len(mem) != len(dist) {
 		t.Fatalf("epoch counts: %d vs %d", len(mem), len(dist))
 	}
@@ -182,7 +182,6 @@ func TestWelfareRatioZeroOptimumDefined(t *testing.T) {
 			{Name: "b", Bitrate: 300, InitialPeers: 8},
 		},
 		Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-		Backend:     BackendDistsim,
 		EpochStages: 10,
 		Seed:        1,
 		Link:        link,
@@ -211,12 +210,6 @@ func TestWelfareRatioZeroOptimumDefined(t *testing.T) {
 		t.Fatalf("StageTotals 0/0: opt=%v ratio=%v, want 0 and 1", tot.OptWelfare, tot.WelfareRatio())
 	}
 
-	// Link models are a distsim-backend feature; the memory backend has no
-	// links to fail and must say so.
-	cfg.Backend = BackendMemory
-	if _, err := New(cfg); err == nil {
-		t.Fatal("Link with BackendMemory accepted")
-	}
 }
 
 // The free-id satellite: under sustained leave/re-join churn, scenario

@@ -59,14 +59,12 @@ type ClusterScenario struct {
 	// default, negative disables; see cluster.Config.ViewRefresh).
 	ViewRefresh int
 	Allocator   cluster.AllocatorKind
-	// Backend selects the execution backend (shared memory or the distsim
-	// message-passing runtime). With cluster.BackendDistsim, Close the
-	// built cluster to join its node goroutines.
-	Backend cluster.BackendKind
-	Seed    uint64
+	Seed        uint64
 	// LinkDrop/LinkDelay/LinkMaxDelay parameterize the distsim lossy link
-	// model (both zero disables; requires the distsim backend). LinkSeed
-	// derives the link streams.
+	// model (both zero disables). LinkSeed derives the link streams. A
+	// link, a fault plan or a detector makes the built cluster run on the
+	// distsim backend (see cluster.Config.Link); Close it to join its node
+	// goroutines.
 	LinkDrop     float64
 	LinkDelay    float64
 	LinkMaxDelay int
@@ -181,7 +179,6 @@ func ClusterViews() ClusterScenario {
 // recovery experiment measures against.
 func ClusterFaults() ClusterScenario {
 	s := ClusterSmall()
-	s.Backend = cluster.BackendDistsim
 	s.LinkDrop = 0.01
 	s.LinkDelay = 0.05
 	s.LinkMaxDelay = 1
@@ -260,7 +257,6 @@ func (s ClusterScenario) Build() (cluster.Config, error) {
 		Channels:    specs,
 		Helpers:     cluster.UniformHelpers(s.Helpers, helper),
 		Allocator:   s.Allocator,
-		Backend:     s.Backend,
 		EpochStages: s.EpochStages,
 		Hysteresis:  s.Hysteresis,
 		Seed:        s.Seed,

@@ -13,9 +13,6 @@ func TestClusterFaultsPresetBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Backend != cluster.BackendDistsim {
-		t.Fatalf("faults preset backend %v, want distsim", cfg.Backend)
-	}
 	if cfg.Link == nil {
 		t.Fatal("faults preset built no link model")
 	}
@@ -70,7 +67,6 @@ func TestFaultFreeScenarioBuildsNoPlan(t *testing.T) {
 	// queueing — the plan collapses to nil rather than dragging the
 	// distsim adjudication path into clean runs.
 	s := ClusterSmall()
-	s.Backend = cluster.BackendDistsim
 	s.FaultDomains = 1
 	s.CrashFrom, s.CrashUntil = 10, 10
 	s.PartitionFrom, s.PartitionUntil = 20, 20

@@ -159,48 +159,3 @@ func (b *Buffer) Continuity() float64 {
 	}
 	return float64(b.played) / float64(total)
 }
-
-// DeficitLedger tracks the Fig-5 series: per-stage real server load against
-// the analytic minimum bandwidth deficit.
-type DeficitLedger struct {
-	RealLoad   []float64
-	MinDeficit []float64
-}
-
-// Observe appends one stage.
-func (d *DeficitLedger) Observe(realLoad, minDeficit float64) {
-	d.RealLoad = append(d.RealLoad, realLoad)
-	d.MinDeficit = append(d.MinDeficit, minDeficit)
-}
-
-// MeanGap returns the average of (real - minimum); the paper's claim is
-// that this stays small ("real server load is close to the minimum
-// bandwidth deficit").
-func (d *DeficitLedger) MeanGap() float64 {
-	if len(d.RealLoad) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := range d.RealLoad {
-		sum += d.RealLoad[i] - d.MinDeficit[i]
-	}
-	return sum / float64(len(d.RealLoad))
-}
-
-// GapFraction returns mean(real) / mean(min deficit), or +Inf when the
-// minimum deficit is zero but real load is not, or 1 when both are zero.
-func (d *DeficitLedger) GapFraction() float64 {
-	real, min := 0.0, 0.0
-	for i := range d.RealLoad {
-		real += d.RealLoad[i]
-		min += d.MinDeficit[i]
-	}
-	switch {
-	case min > 0:
-		return real / min
-	case real == 0:
-		return 1
-	default:
-		return math.Inf(1)
-	}
-}

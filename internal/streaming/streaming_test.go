@@ -188,28 +188,3 @@ func TestEmptyBufferContinuity(t *testing.T) {
 		t.Fatalf("fresh continuity = %g", b.Continuity())
 	}
 }
-
-func TestDeficitLedger(t *testing.T) {
-	var d DeficitLedger
-	if d.MeanGap() != 0 || d.GapFraction() != 1 {
-		t.Fatal("empty ledger stats wrong")
-	}
-	d.Observe(500, 400)
-	d.Observe(700, 600)
-	if math.Abs(d.MeanGap()-100) > 1e-12 {
-		t.Fatalf("MeanGap = %g", d.MeanGap())
-	}
-	if math.Abs(d.GapFraction()-1200.0/1000) > 1e-12 {
-		t.Fatalf("GapFraction = %g", d.GapFraction())
-	}
-	var zeroMin DeficitLedger
-	zeroMin.Observe(10, 0)
-	if !math.IsInf(zeroMin.GapFraction(), 1) {
-		t.Fatalf("GapFraction with zero deficit = %g", zeroMin.GapFraction())
-	}
-	var bothZero DeficitLedger
-	bothZero.Observe(0, 0)
-	if bothZero.GapFraction() != 1 {
-		t.Fatalf("GapFraction both zero = %g", bothZero.GapFraction())
-	}
-}

@@ -177,11 +177,10 @@ type (
 	ClusterFlashCrowd = cluster.FlashCrowd
 	// ClusterAllocator selects the re-allocation policy.
 	ClusterAllocator = cluster.AllocatorKind
-	// ClusterBackend selects the cluster's execution backend.
-	ClusterBackend = cluster.BackendKind
 	// ClusterDetector enables failure-aware eviction: helpers missing
 	// consecutive capacity replies are evicted through the churn path and
-	// readmitted after probation (requires ClusterBackendDistsim).
+	// readmitted after probation. Like ClusterConfig.Link and .Faults,
+	// setting it runs the cluster on the distsim message-passing backend.
 	ClusterDetector = cluster.DetectorConfig
 	// ClusterScenario parameterizes the cluster presets.
 	ClusterScenario = experiment.ClusterScenario
@@ -225,24 +224,16 @@ const (
 	ClusterAllocStatic       = cluster.AllocStatic
 )
 
-// Cluster execution backends. BackendDistsim runs every channel as a
-// manager node and every helper as its own message-passing node on the
-// batched distsim runtime; at zero link latency/drop it reproduces the
-// shared-memory metrics bit-identically. Call Cluster.Close when done.
-const (
-	ClusterBackendMemory  = cluster.BackendMemory
-	ClusterBackendDistsim = cluster.BackendDistsim
-)
-
 // NewDistsim builds the batched multi-channel message-passing runtime
-// directly (the cluster engine drives it through ClusterBackendDistsim;
-// use this for custom deployments and lossy-link experiments).
+// directly, for custom deployments and lossy-link experiments. The
+// cluster engine drives it whenever any of ClusterConfig.Link, .Faults or
+// .Detector is set; a perfect link (LossyLink{}) runs it at zero loss.
 func NewDistsim(cfg DistsimConfig) (*DistsimRuntime, error) { return distsim.New(cfg) }
 
 // NewLossyLink validates and builds the iid drop/delay link model for
-// distsim deployments. Use it rather than a LossyLink literal: an invalid
-// combination (e.g. DelayProb > 0 with MaxDelay 0) is rejected here
-// instead of surfacing mid-run.
+// distsim deployments. Use it rather than a LossyLink literal with
+// nonzero fields: an invalid combination (e.g. DelayProb > 0 with
+// MaxDelay 0) is rejected here instead of surfacing mid-run.
 func NewLossyLink(dropProb, delayProb float64, maxDelay int) (LossyLink, error) {
 	return distsim.NewLossy(dropProb, delayProb, maxDelay)
 }
@@ -262,7 +253,7 @@ func UniformHelpers(n int, spec HelperSpec) []HelperSpec {
 }
 
 // ClusterScale is the acceptance-scale cluster scenario (100 channels,
-// 10k viewers, 150 shared helpers, Zipf audiences, Markov switching, flash
+// 10k viewers, 400 shared helpers, Zipf audiences, Markov switching, flash
 // crowd).
 func ClusterScale() ClusterScenario { return experiment.ClusterScale() }
 
@@ -282,12 +273,13 @@ func ClusterChurn() ClusterScenario { return experiment.ClusterChurn() }
 // viewers whose views contain the moved helper.
 func ClusterViews() ClusterScenario { return experiment.ClusterViews() }
 
-// ClusterFaults is the fault-injection and recovery scenario: the distsim
-// backend with lossy queueing links, the helper pool striped across fault
-// domains, a scheduled fail-stop helper crash, a regional partition over
-// two epochs, and the failure detector evicting unresponsive helpers and
-// readmitting them after probation. Set DetectorSuspect = 0 for the
-// detector-disabled baseline.
+// ClusterFaults is the fault-injection and recovery scenario: lossy
+// queueing links, the helper pool striped across fault domains, a
+// scheduled fail-stop helper crash, a regional partition over two epochs,
+// and the failure detector evicting unresponsive helpers and readmitting
+// them after probation. Its link, fault plan and detector run it on the
+// distsim backend. Set DetectorSuspect = 0 for the detector-disabled
+// baseline.
 func ClusterFaults() ClusterScenario { return experiment.ClusterFaults() }
 
 // DefaultViewRefresh is the default partial-view refresh period in stages
