@@ -65,9 +65,10 @@ func run(args []string) error {
 	}
 	if selected("2") {
 		ran = true
-		res, err := experiment.Fig2(scen(experiment.SmallScale()))
+		s := scen(experiment.SmallScale())
+		res, err := experiment.Fig2(s)
 		if err != nil {
-			return err
+			return fmt.Errorf("fig 2 at -stages %d: %w", s.Stages, err)
 		}
 		if err := res.Table().Render(os.Stdout); err != nil {
 			return err
@@ -123,10 +124,11 @@ func run(args []string) error {
 	if selected("a2") {
 		ran = true
 		var results []*experiment.ShiftResult
+		s := scen(experiment.SmallScale())
 		for _, mode := range []regret.Mode{regret.ModeTracking, regret.ModeMatching, regret.ModePaperExact} {
-			r, err := experiment.AblationShift(scen(experiment.SmallScale()), mode)
+			r, err := experiment.AblationShift(s, mode)
 			if err != nil {
-				return err
+				return fmt.Errorf("a2 at -stages %d: %w", s.Stages, err)
 			}
 			results = append(results, r)
 		}

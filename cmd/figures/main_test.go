@@ -27,6 +27,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-nonsense"}, "flag provided but not defined"},
 		{[]string{"-fig", "2", "-stages", "-5"}, "-stages must be at least 0"},
+		{[]string{"-fig", "2", "-stages", "1"}, "-stages 1"},
+		{[]string{"-fig", "a2", "-stages", "1"}, "-stages 1"},
 	} {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.wantErr)

@@ -384,7 +384,7 @@ func New(cfg Config) (*System, error) {
 	// regrow (NewArena clamps to the learner action bound internally).
 	s.arena = regret.NewArena(s.NewPeerActions() + 1)
 	// The population size is known up front: reserve the slabs once
-	// instead of paying O(NumPeers) doubling garbage during the adoption
+	// instead of paying O(NumPeers) regrowth garbage during the adoption
 	// loop (at a million viewers that garbage would dwarf the live heap).
 	s.arena.Reserve(cfg.NumPeers)
 

@@ -143,9 +143,13 @@ type ShiftResult struct {
 // AblationShift (A2) runs the capacity-swap experiment: helper 0 starts at
 // 900 kbps and helper 1 at 450 kbps (fixed levels, no Markov noise, so the
 // swap is the only non-stationarity); at mid-run they exchange capacities.
+// Both halves need a stage to measure, so the horizon is at least 2.
 func AblationShift(s Scenario, mode regret.Mode) (*ShiftResult, error) {
 	if s.NumPeers < 3 {
 		return nil, fmt.Errorf("experiment: AblationShift needs >= 3 peers, got %d", s.NumPeers)
+	}
+	if s.Stages < 2 {
+		return nil, fmt.Errorf("experiment: AblationShift needs >= 2 stages to swap mid-run, got %d", s.Stages)
 	}
 	const strong, weak = 900.0, 450.0
 	cfg := regret.Defaults(2, 1)

@@ -79,6 +79,33 @@ func TestFig2NearOptimal(t *testing.T) {
 	}
 }
 
+// Fig 2 and A2 average windows cut from half the horizon, so a one-stage
+// run would average nothing; both reject it and print numbers from 2 on.
+func TestHalfHorizonArtifactsNeedTwoStages(t *testing.T) {
+	s := small(1)
+	s.Stages = 1
+	if _, err := Fig2(s); err == nil {
+		t.Fatal("Fig2 accepted a one-stage horizon")
+	}
+	if _, err := AblationShift(s, regret.ModeTracking); err == nil {
+		t.Fatal("AblationShift accepted a one-stage horizon")
+	}
+	s.Stages = 2
+	fig, err := Fig2(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift, err := AblationShift(s, regret.ModeTracking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{fig.TailRatio, shift.PreStrongShare, shift.EarlyPostShare, shift.FinalShare, shift.PostRegret} {
+		if math.IsNaN(v) {
+			t.Fatalf("two-stage horizon gave NaN: Fig2 %+v, A2 %+v", fig.TailRatio, *shift)
+		}
+	}
+}
+
 func TestFig3LoadsBalanced(t *testing.T) {
 	res, err := Fig3(small(7))
 	if err != nil {

@@ -83,8 +83,12 @@ type Fig2Result struct {
 	TailRatio float64
 }
 
-// Fig2 runs the welfare-vs-MDP comparison.
+// Fig2 runs the welfare-vs-MDP comparison. The tail ratio averages the
+// last half of the horizon, so it needs at least 2 stages.
 func Fig2(s Scenario) (*Fig2Result, error) {
+	if s.Stages < 2 {
+		return nil, fmt.Errorf("experiment: Fig2 needs >= 2 stages for a tail half, got %d", s.Stages)
+	}
 	sys, err := s.build()
 	if err != nil {
 		return nil, err

@@ -12,9 +12,8 @@ package regret
 //
 // Slots are compacted on release (swap-with-last), so the slabs stay dense
 // under arbitrary join/leave churn: len(handles) live slots, no holes.
-// Slot strides are rounded up to whole cache lines so two learners never
-// share a line even when adjacent slots are written by different
-// goroutines.
+// Slot strides are rounded up to whole cache lines, so every slot keeps
+// its slab's alignment and no two learners share a line.
 //
 // An Arena is not safe for concurrent structural edits (Adopt, Release,
 // growth); the owning System serializes those between stages. Concurrent
@@ -30,7 +29,8 @@ type Arena struct {
 }
 
 // cacheLineFloats is the slot-stride rounding unit: 8 float64s = 64 bytes,
-// one cache line, so adjacent slots never false-share.
+// one cache line, so every slot starts on a line boundary when its slab
+// does.
 const cacheLineFloats = 8
 
 func roundCacheLine(n int) int {
@@ -115,9 +115,7 @@ func (a *Arena) New(cfg Config) (*Learner, error) {
 // slabs if needed) and binds its slice headers there. The slot's previous
 // contents are left for the caller to overwrite.
 func (a *Arena) place(l *Learner) {
-	if l.m > a.capM {
-		a.growTo(l.m)
-	}
+	a.growTo(l.m)
 	l.arena, l.slot = a, len(a.handles)
 	a.ensureSlots(l.slot + 1)
 	a.handles = append(a.handles, l)
@@ -157,14 +155,6 @@ func (a *Arena) bind(l *Learner) {
 	l.t = a.t[off : off+l.m*l.m : off+a.tStride]
 	poff := l.slot * a.pStride
 	l.probs = a.probs[poff : poff+l.m : poff+a.pStride]
-}
-
-// rebindAll re-derives every resident learner's slice headers — required
-// after any slab reallocation, which invalidates all previous headers.
-func (a *Arena) rebindAll() {
-	for _, l := range a.handles {
-		a.bind(l)
-	}
 }
 
 // Discard releases a resident learner that is about to be destroyed: the
@@ -207,63 +197,51 @@ func (a *Arena) compact(slot int) {
 
 // Reserve pre-sizes the slabs for at least n resident learners, so a
 // known-size adoption wave (system construction, a replayed join burst)
-// allocates its slabs once instead of leaving O(n) doubling garbage
-// behind. No-op when capacity is already sufficient.
+// allocates its slabs once instead of regrowing through it. No-op when
+// capacity is already sufficient.
 func (a *Arena) Reserve(n int) {
-	if n <= 0 || n*a.tStride <= len(a.t) {
-		return
+	if n*a.tStride > len(a.t) {
+		a.resize(a.capM, n)
 	}
-	nt := make([]float64, n*a.tStride)
-	copy(nt, a.t)
-	np := make([]float64, n*a.pStride)
-	copy(np, a.probs)
-	a.t, a.probs = nt, np
-	a.rebindAll()
 }
 
-// ensureSlots grows the slabs to hold at least n slots (amortized
-// doubling). Cold path: runs only on adoption beyond current capacity.
+// ensureSlots grows the slabs to hold at least n slots plus a quarter: a
+// join burst regrows once per ~n/4 adoptions, so each join pays about
+// four slot copies amortized, and a regrow leaves at most a fifth of the
+// slots idle. Cold path: runs only on adoption beyond current capacity.
 func (a *Arena) ensureSlots(n int) {
-	if n*a.tStride <= len(a.t) {
-		return
+	if n*a.tStride > len(a.t) {
+		a.resize(a.capM, n+n/4)
 	}
-	slots := 2 * n
-	nt := make([]float64, slots*a.tStride)
-	copy(nt, a.t)
-	np := make([]float64, slots*a.pStride)
-	copy(np, a.probs)
-	a.t, a.probs = nt, np
-	a.rebindAll()
 }
 
-// growTo raises capM to hold m-action learners: new strides, fresh slabs,
-// every occupied slot repacked and every handle rebound. Geometric growth
-// amortizes repeated AddHelper-driven regrows; the slot layout never
+// growTo raises capM to m plus an eighth (at least one action) and sizes
+// the slabs for the live slots plus a quarter. A full-view channel then
+// regrows once per ~m/8 helper arrivals at O(m²) per learner, the order
+// of the repack every AddAction already does, so regrowth adds O(m) per
+// learner per arrival. capM never shrinks: detector evict/readmit churn
+// would make a shrinking slab regrow over and over. The slot layout never
 // affects the learners' arithmetic, so any growth policy is
 // determinism-safe. Cold path.
 func (a *Arena) growTo(m int) {
-	if m <= a.capM {
-		return
+	if m > a.capM {
+		n := len(a.handles)
+		a.resize(min(m+max(1, m/8), maxActions), n+n/4)
 	}
-	ncap := a.capM + a.capM/2
-	if ncap < m {
-		ncap = m
+}
+
+// resize moves the arena to fresh slabs of the given slot count at capM's
+// strides: every resident learner's live state is copied into its slot
+// and its slice headers rebound (the old headers point into the dropped
+// slabs).
+func (a *Arena) resize(capM, slots int) {
+	a.capM = capM
+	a.tStride, a.pStride = arenaStrides(capM)
+	a.t = make([]float64, slots*a.tStride)
+	a.probs = make([]float64, slots*a.pStride)
+	for _, l := range a.handles {
+		copy(a.t[l.slot*a.tStride:], l.t)
+		copy(a.probs[l.slot*a.pStride:], l.probs)
+		a.bind(l)
 	}
-	if ncap > maxActions {
-		ncap = maxActions
-	}
-	nts, nps := arenaStrides(ncap)
-	slots := 2 * len(a.handles)
-	if slots < 1 {
-		slots = 1
-	}
-	nt := make([]float64, slots*nts)
-	np := make([]float64, slots*nps)
-	for i, l := range a.handles {
-		copy(nt[i*nts:], a.t[i*a.tStride:i*a.tStride+l.m*l.m])
-		copy(np[i*nps:], a.probs[i*a.pStride:i*a.pStride+l.m])
-	}
-	a.capM, a.tStride, a.pStride = ncap, nts, nps
-	a.t, a.probs = nt, np
-	a.rebindAll()
 }

@@ -2,6 +2,7 @@ package regret
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rths/internal/xrand"
@@ -272,9 +273,9 @@ func TestArenaZeroAllocs(t *testing.T) {
 	}
 }
 
-// The slot strides must be cache-line multiples (the false-sharing
-// argument of PERF.md's arena section) and SlotBytes must account for
-// both slabs.
+// The slot strides must be cache-line multiples, so every slot keeps its
+// slab's alignment (PERF.md's arena section), and SlotBytes must account
+// for both slabs.
 func TestArenaSlotGeometry(t *testing.T) {
 	for _, capM := range []int{1, 4, 16, 100, 256} {
 		a := NewArena(capM)
@@ -287,5 +288,81 @@ func TestArenaSlotGeometry(t *testing.T) {
 		if a.SlotBytes() != (a.tStride+a.pStride)*8 {
 			t.Fatalf("capM=%d: SlotBytes inconsistent", capM)
 		}
+	}
+}
+
+// Helper arrivals and join/leave churn must keep the slabs sized to the
+// live need: after every wave capM is within an eighth (at least one
+// action) of the largest live action set, and the slabs hold at most a
+// quarter more slots than there are learners (plus one). A 64-learner
+// arena grows from 4 to 40 actions the way core.AddHelper drives it, one
+// AddAction per learner per helper, with leaves and joins in between, and
+// every learner keeps its private twin's exact state through the regrows.
+func TestArenaSlabsTrackLiveNeed(t *testing.T) {
+	const n, m0, mMax = 64, 4, 40
+	a := NewArena(m0)
+	r := xrand.New(21)
+	var subjects, twins []*Learner
+	// play runs a few stages on a learner and its twin from one seed, so
+	// slot moves and regrows carry distinct state.
+	play := func(i int, seed uint64) {
+		for _, l := range []*Learner{subjects[i], twins[i]} {
+			pr := xrand.New(seed)
+			for range 3 {
+				if err := l.Update(l.Select(pr), pr.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	check := func(wave string, m int) {
+		t.Helper()
+		live := 0
+		for i, l := range subjects {
+			sameState(t, fmt.Sprintf("m=%d %s: learner %d", m, wave, i), twins[i], l)
+			live = max(live, l.NumActions())
+		}
+		if limit := live + max(1, live/8); a.CapM() > limit {
+			t.Fatalf("m=%d %s: capM %d for a live max of %d actions, want <= %d", m, wave, a.CapM(), live, limit)
+		}
+		slots, limit := len(a.t)/a.tStride, a.Len()+a.Len()/4+1
+		if slots > limit || len(a.probs)/a.pStride != slots {
+			t.Fatalf("m=%d %s: slabs hold %d/%d slots for %d learners, want <= %d",
+				m, wave, slots, len(a.probs)/a.pStride, a.Len(), limit)
+		}
+	}
+	for m := m0; m < mMax; m++ {
+		// Leaves: the oldest learner, the newest and a random one.
+		for _, pick := range []func(int) int{
+			func(int) int { return 0 },
+			func(k int) int { return k - 1 },
+			r.Intn,
+		} {
+			if len(subjects) == 0 {
+				break
+			}
+			k := pick(len(subjects))
+			a.Discard(subjects[k])
+			subjects = slices.Delete(subjects, k, k+1)
+			twins = slices.Delete(twins, k, k+1)
+		}
+		// A join wave back to n learners at the current action count.
+		for len(subjects) < n {
+			l, err := a.New(arenaTestConfig(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			subjects = append(subjects, l)
+			twins = append(twins, MustNew(arenaTestConfig(m)))
+			play(len(subjects)-1, r.Uint64())
+		}
+		check("join wave", m)
+		// A helper arrives: every learner gains an action, then plays.
+		for i := range subjects {
+			subjects[i].AddAction()
+			twins[i].AddAction()
+			play(i, r.Uint64())
+		}
+		check("helper wave", m+1)
 	}
 }
