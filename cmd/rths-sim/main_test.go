@@ -28,6 +28,12 @@ func TestRunWithDemand(t *testing.T) {
 	if err := run([]string{"-demand", "400", "-stages", "100"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+	// A non-finite demand would silently switch server accounting off.
+	for _, d := range []string{"NaN", "+Inf"} {
+		if err := run([]string{"-demand", d, "-stages", "10"}, io.Discard); err == nil {
+			t.Fatalf("-demand %s accepted", d)
+		}
+	}
 }
 
 func TestRunRejectsUnknownPolicy(t *testing.T) {

@@ -468,11 +468,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.EpochStages < 0 {
 		return nil, fmt.Errorf("cluster: EpochStages=%d", cfg.EpochStages)
 	}
-	if cfg.Hysteresis < 0 {
-		return nil, fmt.Errorf("cluster: Hysteresis=%g", cfg.Hysteresis)
+	// Each float check is written so NaN fails it too.
+	if !(cfg.Hysteresis >= 0 && cfg.Hysteresis <= math.MaxFloat64) {
+		return nil, fmt.Errorf("cluster: Hysteresis=%g must be finite and non-negative", cfg.Hysteresis)
 	}
-	if cfg.StartupStages < 0 {
-		return nil, fmt.Errorf("cluster: StartupStages=%g", cfg.StartupStages)
+	if !(cfg.StartupStages >= 0 && cfg.StartupStages <= math.MaxFloat64) {
+		return nil, fmt.Errorf("cluster: StartupStages=%g must be finite and non-negative", cfg.StartupStages)
 	}
 	switch cfg.Allocator {
 	case AllocGreedy, AllocProportional, AllocStatic:
@@ -517,8 +518,8 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		sum := 0.0
 		for _, lv := range spec.Levels {
-			if lv <= 0 {
-				return nil, fmt.Errorf("cluster: helper %d level %g", h, lv)
+			if !(lv > 0 && lv <= math.MaxFloat64) {
+				return nil, fmt.Errorf("cluster: helper %d level %g must be positive and finite", h, lv)
 			}
 			sum += lv
 			if lv > scale {
@@ -536,8 +537,8 @@ func New(cfg Config) (*Cluster, error) {
 	// Initial demands and assignment.
 	c.demands = make([]alloc.Channel, len(cfg.Channels))
 	for ci, ch := range cfg.Channels {
-		if ch.Bitrate <= 0 {
-			return nil, fmt.Errorf("cluster: channel %q bitrate %g", ch.Name, ch.Bitrate)
+		if !(ch.Bitrate > 0 && ch.Bitrate <= math.MaxFloat64) {
+			return nil, fmt.Errorf("cluster: channel %q Bitrate %g must be positive and finite", ch.Name, ch.Bitrate)
 		}
 		if ch.InitialPeers < 0 {
 			return nil, fmt.Errorf("cluster: channel %q initial peers %d", ch.Name, ch.InitialPeers)

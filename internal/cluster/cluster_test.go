@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"rths/internal/core"
@@ -52,6 +54,28 @@ func TestNewValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+	// Non-finite floats are rejected with an error naming the field. NaN
+	// fails every ordered comparison, so a bare sign check lets it through.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, field string
+		mutate      func(*Config)
+	}{
+		{"NaN bitrate", "Bitrate", func(c *Config) { c.Channels[0].Bitrate = nan }},
+		{"+Inf bitrate", "Bitrate", func(c *Config) { c.Channels[1].Bitrate = inf }},
+		{"NaN helper level", "level", func(c *Config) { c.Helpers[0] = core.HelperSpec{Levels: []float64{nan}} }},
+		{"+Inf helper level", "level", func(c *Config) { c.Helpers[2] = core.HelperSpec{Levels: []float64{700, inf}} }},
+		{"NaN hysteresis", "Hysteresis", func(c *Config) { c.Hysteresis = nan }},
+		{"NaN startup", "StartupStages", func(c *Config) { c.StartupStages = nan }},
+	} {
+		cfg := base
+		cfg.Channels = append([]ChannelSpec(nil), base.Channels...)
+		cfg.Helpers = append([]core.HelperSpec(nil), base.Helpers...)
+		tc.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("%s: New returned %v, want an error naming %s", tc.name, err, tc.field)
+		}
 	}
 	// Switching with a single channel has nowhere to zap to.
 	single := Config{

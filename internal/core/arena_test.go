@@ -119,8 +119,8 @@ func TestArenaEngineBitIdenticalToPrivate(t *testing.T) {
 // Under sustained join/leave churn with views enabled the arena must stay
 // dense — exactly one occupied slot per resident learner, no leaked slots
 // from departed peers — and steady-state stages must stay allocation-free
-// (including view-refresh stages: the in-slot AddAction/RemoveAction
-// repack replaced the per-churn reallocation).
+// (including view-refresh stages: in-slot AddAction/RemoveAction edits
+// replaced the per-churn reallocation).
 func TestArenaDensityAndAllocsUnderChurn(t *testing.T) {
 	cfg := defaultConfig(64, 16, 123)
 	cfg.ViewSize = 6

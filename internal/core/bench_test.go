@@ -33,8 +33,9 @@ func churnBenchSystem(b *testing.B) *System {
 
 // BenchmarkHelperChurn measures one helper arrival plus one departure,
 // each after a stage, as helpers migrate between channels: every peer's
-// learner repacks its matrix twice, each time with a pending decay
-// weight to fold.
+// learner edits its matrix in its arena slot twice, an O(m) addition and
+// a removal from the middle index that moves O(m²/2) entries, each with
+// a pending decay weight that carries over unchanged.
 func BenchmarkHelperChurn(b *testing.B) {
 	s := churnBenchSystem(b)
 	b.ReportAllocs()

@@ -16,6 +16,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rths/internal/markov"
 	"rths/internal/regret"
@@ -321,11 +322,12 @@ func New(cfg Config) (*System, error) {
 	if len(cfg.Helpers) == 0 {
 		return nil, errors.New("core: no helpers configured")
 	}
-	if cfg.DemandPerPeer < 0 {
-		return nil, fmt.Errorf("core: DemandPerPeer=%g", cfg.DemandPerPeer)
+	// Each float check is written so NaN fails it too.
+	if !(cfg.DemandPerPeer >= 0 && cfg.DemandPerPeer <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: DemandPerPeer=%g must be finite and non-negative", cfg.DemandPerPeer)
 	}
-	if cfg.UtilityScale < 0 {
-		return nil, fmt.Errorf("core: UtilityScale=%g", cfg.UtilityScale)
+	if !(cfg.UtilityScale >= 0 && cfg.UtilityScale <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: UtilityScale=%g must be finite and non-negative", cfg.UtilityScale)
 	}
 	if cfg.ViewSize < 0 {
 		return nil, fmt.Errorf("core: ViewSize=%d", cfg.ViewSize)
@@ -628,8 +630,8 @@ func newHelper(spec HelperSpec, rng *xrand.Rand) (*helper, error) {
 		return nil, errors.New("no bandwidth levels")
 	}
 	for _, lv := range spec.Levels {
-		if lv <= 0 {
-			return nil, fmt.Errorf("non-positive level %g", lv)
+		if !(lv > 0 && lv <= math.MaxFloat64) {
+			return nil, fmt.Errorf("level %g must be positive and finite", lv)
 		}
 	}
 	sp := spec.SwitchProb
@@ -951,8 +953,8 @@ func (s *System) AddPeer(sel Selector, demand float64) (int, error) {
 	if s.midStage {
 		return 0, errors.New("core: AddPeer during an open SelectStage/FinishStage pair (peer churn must happen between stages)")
 	}
-	if demand < 0 {
-		return 0, fmt.Errorf("core: AddPeer demand %g", demand)
+	if !(demand >= 0 && demand <= math.MaxFloat64) {
+		return 0, fmt.Errorf("core: AddPeer demand %g must be finite and non-negative", demand)
 	}
 	if sel == nil {
 		// Built only once every check has passed: an arena-born learner

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rths/internal/metrics"
@@ -38,6 +39,38 @@ func TestNewValidation(t *testing.T) {
 	badInit.Helpers[0].InitState = 7
 	if _, err := New(badInit); err == nil {
 		t.Fatal("out-of-range init state accepted")
+	}
+	// Non-finite floats are rejected with an error naming the field. NaN
+	// fails every ordered comparison, so a bare sign check lets it through.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, field string
+		mutate      func(*Config)
+	}{
+		{"NaN demand", "DemandPerPeer", func(c *Config) { c.DemandPerPeer = nan }},
+		{"+Inf demand", "DemandPerPeer", func(c *Config) { c.DemandPerPeer = inf }},
+		{"NaN utility scale", "UtilityScale", func(c *Config) { c.UtilityScale = nan }},
+		{"+Inf utility scale", "UtilityScale", func(c *Config) { c.UtilityScale = inf }},
+		{"NaN level", "level", func(c *Config) { c.Helpers[0].Levels = []float64{300, nan} }},
+		{"+Inf level", "level", func(c *Config) { c.Helpers[1].Levels = []float64{inf} }},
+	} {
+		cfg := defaultConfig(2, 2, 1)
+		tc.mutate(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("%s: New returned %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+	s, err := New(defaultConfig(2, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, demand := range []float64{nan, inf} {
+		if _, err := s.AddPeer(nil, demand); err == nil || !strings.Contains(err.Error(), "demand") {
+			t.Fatalf("AddPeer(nil, %g) returned %v, want an error naming demand", demand, err)
+		}
+	}
+	if s.NumPeers() != 2 {
+		t.Fatalf("rejected AddPeer calls left %d peers, want 2", s.NumPeers())
 	}
 }
 

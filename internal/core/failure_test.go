@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,6 +132,21 @@ func TestSetHelperLevelsValidation(t *testing.T) {
 	}
 	if err := s.SetHelperLevels(0, nil, 0); err == nil {
 		t.Fatal("empty levels accepted")
+	}
+	// A NaN level passes the utility-scale check (every comparison with
+	// NaN is false), so the helper constructor must name and reject it,
+	// for SetHelperLevels and AddHelper alike.
+	if err := s.SetHelperLevels(0, []float64{500, math.NaN()}, 0); err == nil || !strings.Contains(err.Error(), "level") {
+		t.Fatalf("SetHelperLevels with a NaN level returned %v, want an error naming the level", err)
+	}
+	if err := s.AddHelper(HelperSpec{Levels: []float64{math.NaN()}}); err == nil || !strings.Contains(err.Error(), "level") {
+		t.Fatalf("AddHelper with a NaN level returned %v, want an error naming the level", err)
+	}
+	if s.NumHelpers() != 2 {
+		t.Fatalf("rejected AddHelper left %d helpers, want 2", s.NumHelpers())
+	}
+	if err := s.SetHelperLevels(0, []float64{300, 500}, math.NaN()); err == nil {
+		t.Fatal("NaN switch probability accepted")
 	}
 	if err := s.SetHelperLevels(0, []float64{500}, 0); err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func Sticky(n int, switchProb float64) (*Chain, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("markov: Sticky with n=%d", n)
 	}
-	if switchProb <= 0 || switchProb >= 1 {
+	if !(switchProb > 0 && switchProb < 1) { // NaN fails too
 		return nil, fmt.Errorf("markov: Sticky switchProb=%g outside (0,1)", switchProb)
 	}
 	if n == 1 {
@@ -246,7 +246,7 @@ func StickyWeighted(weights []float64, switchProb float64) (*Chain, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("markov: StickyWeighted with %d states", n)
 	}
-	if switchProb <= 0 || switchProb >= 1 {
+	if !(switchProb > 0 && switchProb < 1) { // NaN fails too
 		return nil, fmt.Errorf("markov: StickyWeighted switchProb=%g outside (0,1)", switchProb)
 	}
 	total := 0.0

@@ -155,6 +155,9 @@ func TestStickyValidation(t *testing.T) {
 	if _, err := Sticky(3, 1); err == nil {
 		t.Fatal("switchProb=1 accepted")
 	}
+	if _, err := Sticky(3, math.NaN()); err == nil {
+		t.Fatal("switchProb=NaN accepted")
+	}
 }
 
 func TestStickySingleState(t *testing.T) {
@@ -219,6 +222,9 @@ func TestStickyWeightedValidation(t *testing.T) {
 	}
 	if _, err := StickyWeighted([]float64{1, 2}, 1); err == nil {
 		t.Fatal("switchProb=1 accepted")
+	}
+	if _, err := StickyWeighted([]float64{1, 2}, math.NaN()); err == nil {
+		t.Fatal("switchProb=NaN accepted")
 	}
 	if _, err := StickyWeighted([]float64{1, -1}, 0.5); err == nil {
 		t.Fatal("negative weight accepted")

@@ -6,14 +6,18 @@ package regret
 // select/feedback passes walk dense memory instead of chasing
 // per-learner heap allocations. The Learner stays the owner of all scalar
 // state (decay weight, stage, hot constants); residency only points its
-// t/probs slice headers into the slabs, which keeps
+// t/probs slice headers into the slabs and sets its row stride, which keeps
 // Select/Update/recomputeProbs — and therefore the realized trajectories
 // — bit-identical to private-storage learners.
 //
 // Slots are compacted on release (swap-with-last), so the slabs stay dense
 // under arbitrary join/leave churn: len(handles) live slots, no holes.
 // Slot strides are rounded up to whole cache lines, so every slot keeps
-// its slab's alignment and no two learners share a line.
+// its slab's alignment and no two learners share a line. Inside a slot the
+// matrix rows sit at stride capM, not m, so growing an action set never
+// moves a row: AddAction writes one new column entry per row plus the new
+// row, RemoveAction(k) moves only the entries after row and column k, and
+// only a regrow (resize) changes the stride.
 //
 // An Arena is not safe for concurrent structural edits (Adopt, Release,
 // growth); the owning System serializes those between stages. Concurrent
@@ -42,8 +46,8 @@ func arenaStrides(capM int) (tStride, pStride int) {
 }
 
 // NewArena builds an empty arena whose slots hold learners with up to capM
-// actions; it regrows automatically (repacking every slot) when a resident
-// learner outgrows that. capM is clamped into [1, maxActions].
+// actions; it regrows automatically (moving every slot to the wider row
+// stride) when a resident learner outgrows that. capM is clamped into [1, maxActions].
 func NewArena(capM int) *Arena {
 	if capM < 1 {
 		capM = 1
@@ -84,9 +88,9 @@ func (a *Arena) Adopt(l *Learner) {
 	if l.arena != nil {
 		panic("regret: Adopt of a learner resident in another arena")
 	}
-	t, probs := l.t, l.probs
+	t, probs, stride := l.t, l.probs, l.stride
 	a.place(l)
-	copy(l.t, t)
+	copyRows(l.t, l.stride, t, stride, l.m)
 	copy(l.probs, probs)
 }
 
@@ -137,22 +141,24 @@ func (a *Arena) Release(l *Learner) {
 	}
 	slot := l.slot
 	t := make([]float64, l.m*l.m)
-	copy(t, l.t)
+	copyRows(t, l.m, l.t, l.stride, l.m)
 	p := make([]float64, l.m)
 	copy(p, l.probs)
-	l.t, l.probs = t, p
+	l.t, l.stride, l.probs = t, l.m, p
 	l.arena, l.slot = nil, 0
 	a.compact(slot)
 }
 
-// bind re-derives l's slice headers from its slot and current size. The
-// three-index slice caps both views at the slot boundary so no in-place
-// repack or reslice can cross into a neighbouring learner's slot.
+// bind re-derives l's slice headers from its slot and current size, and
+// its row stride from capM. The three-index slice caps both views at the
+// slot boundary so no in-place edit or reslice can cross into a
+// neighbouring learner's slot.
 //
 //rths:hotpath
 func (a *Arena) bind(l *Learner) {
 	off := l.slot * a.tStride
-	l.t = a.t[off : off+l.m*l.m : off+a.tStride]
+	l.t = a.t[off : off+l.m*a.capM : off+a.tStride]
+	l.stride = a.capM
 	poff := l.slot * a.pStride
 	l.probs = a.probs[poff : poff+l.m : poff+a.pStride]
 }
@@ -187,8 +193,8 @@ func (a *Arena) compact(slot int) {
 	a.handles[lastIdx] = nil
 	a.handles = a.handles[:lastIdx]
 	if slot != lastIdx {
-		copy(a.t[slot*a.tStride:], a.t[lastIdx*a.tStride:lastIdx*a.tStride+last.m*last.m])
-		copy(a.probs[slot*a.pStride:], a.probs[lastIdx*a.pStride:lastIdx*a.pStride+last.m])
+		copy(a.t[slot*a.tStride:], last.t)
+		copy(a.probs[slot*a.pStride:], last.probs)
 		last.slot = slot
 		a.handles[slot] = last
 		a.bind(last)
@@ -217,9 +223,9 @@ func (a *Arena) ensureSlots(n int) {
 
 // growTo raises capM to m plus an eighth (at least one action) and sizes
 // the slabs for the live slots plus a quarter. A full-view channel then
-// regrows once per ~m/8 helper arrivals at O(m²) per learner, the order
-// of the repack every AddAction already does, so regrowth adds O(m) per
-// learner per arrival. capM never shrinks: detector evict/readmit churn
+// regrows once per ~m/8 helper arrivals at O(m²) per learner, which
+// amortizes to O(m) per learner per arrival: the order of the arrival's
+// own in-slot AddAction. capM never shrinks: detector evict/readmit churn
 // would make a shrinking slab regrow over and over. The slot layout never
 // affects the learners' arithmetic, so any growth policy is
 // determinism-safe. Cold path.
@@ -231,16 +237,17 @@ func (a *Arena) growTo(m int) {
 }
 
 // resize moves the arena to fresh slabs of the given slot count at capM's
-// strides: every resident learner's live state is copied into its slot
-// and its slice headers rebound (the old headers point into the dropped
-// slabs).
+// strides: every resident learner's live rows are copied into its slot at
+// row stride capM and its slice headers rebound (the old headers point
+// into the dropped slabs). It is the only path that changes a resident
+// learner's row stride.
 func (a *Arena) resize(capM, slots int) {
 	a.capM = capM
 	a.tStride, a.pStride = arenaStrides(capM)
 	a.t = make([]float64, slots*a.tStride)
 	a.probs = make([]float64, slots*a.pStride)
 	for _, l := range a.handles {
-		copy(a.t[l.slot*a.tStride:], l.t)
+		copyRows(a.t[l.slot*a.tStride:], capM, l.t, l.stride, l.m)
 		copy(a.probs[l.slot*a.pStride:], l.probs)
 		a.bind(l)
 	}

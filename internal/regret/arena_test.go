@@ -14,10 +14,10 @@ func arenaTestConfig(m int) Config {
 
 // driveChurn replays the same select/update/churn trajectory on a learner
 // using a private RNG clone. Every 97 stages the action set churns (grow
-// until 2·m0, then shrink), so slot repacks, renormalizations and the
-// lazy-decay fold all run many times over the horizon. Each churn event
-// makes several edits with no Update between them, so every edit after
-// the first runs at w == 1, and the removals hit index 0, index m−1 and
+// until 2·m0, then shrink), so in-slot edits, slot regrows and
+// probability renormalizations all run many times over the horizon. Each
+// churn event makes several edits with no Update between them, all at the
+// same decay weight w < 1, and the removals hit index 0, index m−1 and
 // random indices.
 func driveChurn(t *testing.T, l *Learner, seed uint64, stages, m0 int) {
 	t.Helper()
@@ -44,7 +44,9 @@ func driveChurn(t *testing.T, l *Learner, seed uint64, stages, m0 int) {
 	}
 }
 
-// sameState fails the test unless got holds exactly want's learner state.
+// sameState fails the test unless got holds exactly want's learner state:
+// every logical entry (j,k) read through each learner's own row stride,
+// the decay weight, and the strategy.
 func sameState(t *testing.T, name string, want, got *Learner) {
 	t.Helper()
 	if want.m != got.m || want.stage != got.stage || want.last != got.last {
@@ -54,9 +56,11 @@ func sameState(t *testing.T, name string, want, got *Learner) {
 	if want.w != got.w {
 		t.Fatalf("%s: decay weight diverged: %g vs %g", name, want.w, got.w)
 	}
-	for i := range want.t {
-		if want.t[i] != got.t[i] {
-			t.Fatalf("%s: t[%d] diverged: %g vs %g", name, i, want.t[i], got.t[i])
+	for j := 0; j < want.m; j++ {
+		for k := 0; k < want.m; k++ {
+			if w, g := want.t[j*want.stride+k], got.t[j*got.stride+k]; w != g {
+				t.Fatalf("%s: t(%d,%d) diverged: %g vs %g", name, j, k, w, g)
+			}
 		}
 	}
 	for i := range want.probs {

@@ -161,17 +161,22 @@ func (c Config) validate() error {
 // all m² entries every stage, the learner keeps a scalar weight w = Π(1-ε)
 // and stores T/w, so an Update touches only the played action's column
 // (O(m)). The true matrix is recovered as t·w at read time, and w is folded
-// back into t whenever it underflows renormFloor, so the stored values stay
-// finite for arbitrarily long runs. The arithmetic agrees with the eager
-// recursion to within floating-point rounding (see equivalence_test.go).
+// back into t only when it underflows renormFloor, so the stored values
+// stay finite for arbitrarily long runs. Every stored entry shares the one
+// w, so action-set churn (AddAction, RemoveAction) only moves entries and
+// w carries over unchanged. The arithmetic agrees with the eager recursion
+// to within floating-point rounding (see equivalence_test.go).
 type Learner struct {
-	cfg   Config
-	m     int       // current number of actions
-	t     []float64 // m×m scaled proxy matrix (row-major): true T = t·w
-	w     float64   // lazy decay weight; 1 for non-tracking modes
-	probs []float64 // current mixed strategy p^n
-	stage int       // completed updates
-	last  int       // last action returned by Select, -1 before first
+	cfg Config
+	m   int // current number of actions
+	// t holds the scaled proxy matrix row-major, m rows at the given stride,
+	// of which the first m columns are live: true T(j,k) = t[j·stride+k]·w.
+	t      []float64
+	stride int       // row stride of t: m in private storage, the arena's capM in a slot
+	w      float64   // lazy decay weight; 1 for non-tracking modes
+	probs  []float64 // current mixed strategy p^n
+	stage  int       // completed updates
+	last   int       // last action returned by Select, -1 before first
 
 	// Hot-path constants, recomputed only when m changes: the probability
 	// update runs once per peer per stage, and divisions dominate its cost.
@@ -219,7 +224,7 @@ func MustNew(cfg Config) *Learner {
 
 func (l *Learner) reset(m int) {
 	l.m = m
-	l.t = make([]float64, m*m)
+	l.t, l.stride = make([]float64, m*m), m
 	l.w = 1
 	l.probs = make([]float64, m)
 	for i := range l.probs {
@@ -317,10 +322,13 @@ func (l *Learner) Update(action int, utility float64) error {
 	if l.cfg.Mode == ModeTracking {
 		l.w *= 1 - eps
 		if l.w < renormFloor {
-			// Fold the weight into the matrix before it underflows (this
-			// also handles ε=1, where w collapses to exactly 0).
-			for i := range l.t {
-				l.t[i] *= l.w
+			// Fold the weight into the live entries before it underflows
+			// (this also handles ε=1, where w collapses to exactly 0).
+			for j := 0; j < l.m; j++ {
+				row := l.t[j*l.stride:][:l.m]
+				for i := range row {
+					row[i] *= l.w
+				}
 			}
 			l.w = 1
 		}
@@ -330,9 +338,9 @@ func (l *Learner) Update(action int, utility float64) error {
 		scale = utility / l.probs[action]
 	}
 	// Column walk with a single induction variable so the compiler can
-	// drop the per-iteration bounds checks.
-	t, probs := l.t, l.probs
-	for idx, j := action, 0; idx < len(t); idx, j = idx+l.m, j+1 {
+	// drop the per-iteration bounds checks; len(t) is m rows of stride.
+	t, probs, stride := l.t, l.probs, l.stride
+	for idx, j := action, 0; idx < len(t); idx, j = idx+stride, j+1 {
 		t[idx] += scale * probs[j]
 	}
 	l.stage++
@@ -374,7 +382,8 @@ func (l *Learner) regretScale() float64 {
 // regret returns the current estimate Q(j,k): the (normalized) gain of
 // having played k whenever j was played.
 func (l *Learner) regret(j, k int) float64 {
-	diff := l.t[j*l.m+k] - l.t[j*l.m+j]
+	row := l.t[j*l.stride:]
+	diff := row[k] - row[j]
 	if diff <= 0 {
 		return 0
 	}
@@ -419,7 +428,8 @@ func (l *Learner) recomputeProbs(j int) {
 		l.probs[0] = 1
 		return
 	}
-	row := l.t[j*m : j*m+m : j*m+m]
+	off := j * l.stride
+	row := l.t[off : off+m : off+m]
 	probs := l.probs[:m]
 	tjj := row[j]
 	qs := l.regretScale() * l.invMu
@@ -440,26 +450,24 @@ func (l *Learner) recomputeProbs(j int) {
 	probs[j] = 1 - (sum - floor)
 }
 
-// materialize folds the lazy decay weight into the stored matrix so that
-// l.t holds true T values again. Called before structural edits (AddAction,
-// RemoveAction) so the copy logic never has to track the scaling.
-func (l *Learner) materialize() {
-	if l.w == 1 {
-		return
+// copyRows copies the live m×m block of a matrix stored at row stride
+// srcStride into dst at row stride dstStride: one copy per row, so it
+// serves every storage move (adoption, release, slab regrowth, private
+// growth) whatever the two strides are.
+func copyRows(dst []float64, dstStride int, src []float64, srcStride, m int) {
+	for j := 0; j < m; j++ {
+		copy(dst[j*dstStride:][:m], src[j*srcStride:][:m])
 	}
-	for i := range l.t {
-		l.t[i] *= l.w
-	}
-	l.w = 1
 }
 
 // AddAction grows the action set by one (a helper joined). The new action
 // starts with zero regret and immediately receives the exploration floor;
-// existing probabilities are rescaled to make room. Arena-resident
-// learners repack in place inside their slot, folding the decay weight in
-// the same pass (allocation-free unless the arena must regrow); private
-// learners materialize, then reallocate. Both paths perform the identical
-// arithmetic, so the trajectories agree bit-for-bit.
+// existing probabilities are rescaled to make room. Stored entries and the
+// decay weight carry over untouched: an arena-resident learner writes one
+// zero per row plus the new row inside its slot, O(m) and allocation-free
+// unless the arena must regrow; a private learner copies its rows into a
+// fresh (m+1)×(m+1) matrix. The arithmetic is the same on both paths, so
+// the trajectories agree bit-for-bit.
 func (l *Learner) AddAction() {
 	m := l.m
 	nm := m + 1
@@ -469,7 +477,6 @@ func (l *Learner) AddAction() {
 	if l.arena != nil {
 		l.addActionArena(m, nm)
 	} else {
-		l.materialize()
 		l.addActionAlloc(m, nm)
 	}
 	l.m = nm
@@ -484,10 +491,8 @@ func (l *Learner) AddAction() {
 // state copied into the top-left block.
 func (l *Learner) addActionAlloc(m, nm int) {
 	nt := make([]float64, nm*nm)
-	for j := 0; j < m; j++ {
-		copy(nt[j*nm:j*nm+m], l.t[j*m:(j+1)*m])
-	}
-	l.t = nt
+	copyRows(nt, nm, l.t, l.stride, m)
+	l.t, l.stride = nt, nm
 	floor := l.cfg.Exploration / float64(nm)
 	rescale := 1 - floor
 	np := make([]float64, nm)
@@ -498,34 +503,23 @@ func (l *Learner) addActionAlloc(m, nm int) {
 	l.probs = np
 }
 
-// addActionArena repacks the m×m matrix to (m+1)×(m+1) in place inside
-// the learner's slot, writing each stored entry times the decay weight —
-// the product materialize would compute — so the fold and the repack are
-// one pass (w == 1 multiplies exactly). Rows move backward (row j from
-// offset j·m to j·(m+1), descending j and descending column, so targets
-// never overwrite unread sources) and the new column/row are zeroed
-// explicitly — the slot may hold stale values from a previous occupant or
-// repack. Same arithmetic as the allocating path, no allocation.
+// addActionArena grows the action set inside the learner's slot. Rows sit
+// at stride capM, so the m live rows stay where they are: column m gets a
+// zero in each of them and row m is zeroed (the slot may hold stale values
+// from a previous occupant or a removed action). Only a learner that
+// outgrows capM moves, through the arena's regrow.
 //
 //rths:hotpath
 func (l *Learner) addActionArena(m, nm int) {
-	a := l.arena
-	if nm > a.capM {
-		a.growTo(nm) // cold: repacks the slab and rebinds l
+	if nm > l.arena.capM {
+		l.arena.growTo(nm) // cold: moves every slot to the wider stride and rebinds l
 	}
-	t := l.t[:nm*nm]
-	w := l.w
-	for j := m - 1; j >= 0; j-- {
-		src := t[j*m : j*m+m]
-		dst := t[j*nm:][:len(src)]
-		for c := len(src) - 1; c >= 0; c-- {
-			dst[c] = src[c] * w
-		}
-		t[j*nm+m] = 0
+	s := l.stride
+	t := l.t[:nm*s]
+	for idx := m; idx < m*s; idx += s {
+		t[idx] = 0
 	}
-	clear(t[m*nm:])
-	l.t = t
-	l.w = 1
+	clear(t[m*s : m*s+nm])
 	floor := l.cfg.Exploration / float64(nm)
 	rescale := 1 - floor
 	p := l.probs[:nm]
@@ -533,12 +527,14 @@ func (l *Learner) addActionArena(m, nm int) {
 		p[k] = p[k] * rescale
 	}
 	p[m] = floor
-	l.probs = p
 }
 
 // RemoveAction deletes action k (a helper left). Its regret state is
-// discarded and the remaining probabilities renormalized. Panics if only
-// one action remains or k is out of range.
+// discarded and the remaining probabilities renormalized; the surviving
+// entries and the decay weight carry over untouched. An arena-resident
+// learner moves entries inside its slot, O(m·(m−k)) and allocation-free;
+// a private learner copies the survivors into a fresh (m−1)×(m−1) matrix.
+// Panics if only one action remains or k is out of range.
 func (l *Learner) RemoveAction(k int) {
 	if l.m <= 1 {
 		panic("regret: RemoveAction would empty the action set")
@@ -551,7 +547,6 @@ func (l *Learner) RemoveAction(k int) {
 	if l.arena != nil {
 		l.removeActionArena(k, m, nm)
 	} else {
-		l.materialize()
 		l.removeActionAlloc(k, m, nm)
 	}
 	l.m = nm
@@ -570,86 +565,58 @@ func (l *Learner) removeActionAlloc(k, m, nm int) {
 		if j == k {
 			continue
 		}
-		for c, nc := 0, 0; c < m; c++ {
-			if c == k {
-				continue
-			}
-			nt[nj*nm+nc] = l.t[j*m+c]
-			nc++
-		}
+		src, dst := l.t[j*m:j*m+m], nt[nj*nm:nj*nm+nm]
+		copy(dst, src[:k])
+		copy(dst[k:], src[k+1:])
 		nj++
 	}
-	l.t = nt
-	np := make([]float64, 0, nm)
-	sum := 0.0
-	for i, p := range l.probs {
-		if i == k {
-			continue
-		}
-		np = append(np, p)
-		sum += p
-	}
-	if sum <= 0 {
-		for i := range np {
-			np[i] = 1 / float64(nm)
-		}
-	} else {
-		for i := range np {
-			np[i] /= sum
-		}
-	}
+	l.t, l.stride = nt, nm
+	np := make([]float64, nm)
+	copy(np, l.probs[:k])
+	copy(np[k:], l.probs[k+1:])
+	renormalize(np)
 	l.probs = np
 }
 
-// removeActionArena drops row/column k by repacking forward in place
-// inside the learner's slot, writing each stored entry times the decay
-// weight (the materialize product, so fold and repack are one pass; w == 1
-// multiplies exactly). Each surviving row is two whole segments, the
-// columns before k and the columns after it. Every target offset
-// nj·nm+nc is ≤ its source offset j·m+c and sources are consumed in
-// increasing order, so nothing is overwritten before it is read. The
-// surviving probabilities are compacted and renormalized in the same
-// accumulation order as the allocating path, so the arithmetic is
-// bit-identical. No allocation.
+// removeActionArena drops row/column k inside the learner's slot. Rows
+// before k shift their tail left by one column; each row after k moves up
+// one row with column k left out. Rows keep stride capM, so rows before k
+// never move, and removing the last action only trims. The surviving
+// probabilities are compacted and renormalized exactly as on the private
+// path. No allocation.
 //
 //rths:hotpath
 func (l *Learner) removeActionArena(k, m, nm int) {
-	t := l.t
-	w := l.w
-	for j, nj := 0, 0; j < m; j++ {
-		if j == k {
-			continue
-		}
-		src := t[j*m : j*m+m]
-		dst := t[nj*nm : nj*nm+nm]
-		srcHead := src[:k]
-		head := dst[:len(srcHead)]
-		for c := range head {
-			head[c] = srcHead[c] * w
-		}
-		srcTail := src[k+1:]
-		tail := dst[k : k+len(srcTail)]
-		for c := range tail {
-			tail[c] = srcTail[c] * w
-		}
-		nj++
+	t, s := l.t, l.stride
+	for j := 0; j < k && k < nm; j++ { // k == nm moves nothing
+		row := t[j*s : j*s+m]
+		copy(row[k:], row[k+1:])
 	}
-	l.w = 1
+	for j := k + 1; j < m; j++ {
+		src, dst := t[j*s:j*s+m], t[(j-1)*s:(j-1)*s+nm]
+		copy(dst, src[:k])
+		copy(dst[k:], src[k+1:])
+	}
 	p := l.probs
 	copy(p[k:m], p[k+1:m])
-	np := p[:nm]
+	renormalize(p[:nm])
+}
+
+// renormalize rescales p to sum to one, or resets it to uniform when no
+// mass is left: the shared tail of both RemoveAction paths, accumulating
+// in index order on each.
+func renormalize(p []float64) {
 	sum := 0.0
-	for _, v := range np {
+	for _, v := range p {
 		sum += v
 	}
 	if sum <= 0 {
-		for i := range np {
-			np[i] = 1 / float64(nm)
+		for i := range p {
+			p[i] = 1 / float64(len(p))
 		}
-	} else {
-		for i := range np {
-			np[i] /= sum
-		}
+		return
 	}
-	l.probs = np
+	for i := range p {
+		p[i] /= sum
+	}
 }
