@@ -19,6 +19,11 @@
 //	rths-cluster -preset faults -trace events.jsonl -series-every 10 -trace-max-bytes 10000000
 //	rths-cluster -preset scale -metrics-addr 127.0.0.1:9090
 //
+// Every override flag given on the command line applies, whatever its
+// value, and flags left out keep the preset's; a value the engine cannot
+// run (-bitrate NaN, -epoch-stages -1) is rejected with an error naming
+// the flag.
+//
 // -metrics-addr serves live observability over HTTP while the run
 // executes: /metrics exposes the cluster's instrument set (welfare
 // ratio, continuity, max deficit, helpers down, stage-latency histogram,
@@ -66,10 +71,12 @@
 // the detector need message passing, so a run with any of them (-preset
 // faults, or -fault-* flags that configure one) steps on the batched
 // distsim runtime, with one node per channel manager and per helper.
-// Every other run steps channels on shared memory, on a pool only when
-// the host has several cores and the stage is big. Channels never share a
-// random stream, so a fixed (-seed) run is bit-reproducible on any host,
-// and at zero loss the two backends emit the same metrics bit-for-bit.
+// Every other run steps channels on shared memory. Either way channels
+// fork across cores only when the host has several and the stage is big,
+// and a big channel's learner updates fork in peer blocks likewise.
+// Neither fork touches a random stream or a floating-point sum, so a
+// fixed (-seed) run is bit-reproducible on any host, and at zero loss the
+// two backends emit the same metrics bit-for-bit.
 package main
 
 import (
@@ -83,11 +90,6 @@ import (
 
 	"rths"
 )
-
-// viewRefreshUnset is -view-refresh's no-override sentinel: every real
-// value is meaningful to the engine (positive = period, 0 = engine
-// default, negative = disabled), so the flag needs an out-of-band marker.
-const viewRefreshUnset = math.MinInt
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -116,29 +118,29 @@ func run(args []string, out, errOut io.Writer) error {
 	channels := fs.Int("channels", 0, "override channel count")
 	peers := fs.Int("peers", 0, "override total initial viewers")
 	helpers := fs.Int("helpers", 0, "override global helper pool size")
-	zipf := fs.Float64("zipf", -1, "override Zipf popularity exponent")
+	zipf := fs.Float64("zipf", 0, "override Zipf popularity exponent")
 	bitrate := fs.Float64("bitrate", 0, "override per-channel bitrate (kbps)")
 	epochs := fs.Int("epochs", 0, "override number of epochs to run")
 	epochStages := fs.Int("epoch-stages", 0, "override stages per re-allocation epoch")
-	switchProb := fs.Float64("switch-prob", -1, "override per-stage viewer zap probability (0 disables)")
-	flashPeers := fs.Int("flash-peers", -1, "override flash-crowd size (0 disables)")
-	churnArrival := fs.Float64("churn-arrival", -1, "override trace-replay arrivals per stage (0 disables replay)")
-	churnLifetime := fs.Float64("churn-lifetime", -1, "override replayed viewers' mean session length in stages")
-	churnSwitch := fs.Float64("churn-switch", -1, "override replayed viewers' per-stage zap probability")
-	viewSize := fs.Int("view-size", -1, "override per-viewer helper view bound (0 = full views)")
-	viewRefresh := fs.Int("view-refresh", viewRefreshUnset, "override view refresh period in stages (0 = engine default, negative disables)")
-	faultDomains := fs.Int("fault-domains", -1, "override fault-domain count (helpers striped h mod domains; <2 disables partitions)")
-	faultPartDomain := fs.Int("fault-partition-domain", -1, "override the partitioned fault domain")
-	faultPartFrom := fs.Int("fault-partition-from", -1, "override the partition window start stage")
-	faultPartUntil := fs.Int("fault-partition-until", -1, "override the partition window end stage (<= start disables)")
-	faultCrashHelper := fs.Int("fault-crash-helper", -1, "override the crashed helper id")
-	faultCrashFrom := fs.Int("fault-crash-from", -1, "override the crash window start stage")
-	faultCrashUntil := fs.Int("fault-crash-until", -1, "override the crash window end stage (<= start disables)")
-	faultDrop := fs.Float64("fault-drop", -1, "override the per-message drop probability")
-	faultDelay := fs.Float64("fault-delay", -1, "override the per-message delay probability")
+	switchProb := fs.Float64("switch-prob", 0, "override per-stage viewer zap probability (0 disables)")
+	flashPeers := fs.Int("flash-peers", 0, "override flash-crowd size (0 disables)")
+	churnArrival := fs.Float64("churn-arrival", 0, "override trace-replay arrivals per stage (0 disables replay)")
+	churnLifetime := fs.Float64("churn-lifetime", 0, "override replayed viewers' mean session length in stages")
+	churnSwitch := fs.Float64("churn-switch", 0, "override replayed viewers' per-stage zap probability")
+	viewSize := fs.Int("view-size", 0, "override per-viewer helper view bound (0 = full views)")
+	viewRefresh := fs.Int("view-refresh", 0, "override view refresh period in stages (0 = engine default, negative disables)")
+	faultDomains := fs.Int("fault-domains", 0, "override fault-domain count (helpers striped h mod domains; <2 disables partitions)")
+	faultPartDomain := fs.Int("fault-partition-domain", 0, "override the partitioned fault domain")
+	faultPartFrom := fs.Int("fault-partition-from", 0, "override the partition window start stage")
+	faultPartUntil := fs.Int("fault-partition-until", 0, "override the partition window end stage (<= start disables)")
+	faultCrashHelper := fs.Int("fault-crash-helper", 0, "override the crashed helper id")
+	faultCrashFrom := fs.Int("fault-crash-from", 0, "override the crash window start stage")
+	faultCrashUntil := fs.Int("fault-crash-until", 0, "override the crash window end stage (<= start disables)")
+	faultDrop := fs.Float64("fault-drop", 0, "override the per-message drop probability")
+	faultDelay := fs.Float64("fault-delay", 0, "override the per-message delay probability")
 	faultLossLinks := fs.Bool("fault-loss-links", false, "use loss semantics for late batches (disables queueing)")
-	detectorSuspect := fs.Int("detector-suspect", -1, "override the detector's consecutive-miss eviction threshold (0 disables the detector)")
-	detectorReadmit := fs.Int("detector-readmit", -1, "override the detector's readmission probation in stages")
+	detectorSuspect := fs.Int("detector-suspect", 0, "override the detector's consecutive-miss eviction threshold (0 disables the detector)")
+	detectorReadmit := fs.Int("detector-readmit", 0, "override the detector's readmission probation in stages")
 	outPath := fs.String("out", "", "write the per-epoch JSON records to this file instead of stdout")
 	tracePath := fs.String("trace", "", "write the lifecycle event trace (JSON lines) to this file")
 	seriesEvery := fs.Int("series-every", 0, "emit per-channel/per-helper series trace records every N stages (0 disables; needs -trace)")
@@ -146,7 +148,7 @@ func run(args []string, out, errOut io.Writer) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (\":0\" picks a free port)")
 	metricsHold := fs.Duration("metrics-hold", 0, "keep the metrics server up this long after the run completes")
 	allocName := fs.String("alloc", "", "allocator: greedy, proportional or static")
-	seed := fs.Uint64("seed", 0, "override seed (0 keeps the preset's)")
+	seed := fs.Uint64("seed", 0, "override the preset's seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -174,90 +176,86 @@ func run(args []string, out, errOut io.Writer) error {
 	default:
 		return fmt.Errorf("unknown preset %q (small, scale, churn, views, faults)", *preset)
 	}
-	if *channels > 0 {
-		sc.Channels = *channels
+	// Every flag the user set overrides the preset, whatever its value;
+	// unset flags keep the preset's. A value the engine cannot run is
+	// rejected here, naming the flag, rather than silently ignored.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"channels", *channels >= 1, "at least 1"},
+		{"peers", *peers >= 0, "non-negative"},
+		{"helpers", *helpers >= 1, "at least 1"},
+		{"zipf", *zipf >= 0 && *zipf <= math.MaxFloat64, "finite and non-negative"},
+		{"bitrate", *bitrate > 0 && *bitrate <= math.MaxFloat64, "finite and positive"},
+		{"epochs", *epochs >= 1, "at least 1"},
+		{"epoch-stages", *epochStages >= 1, "at least 1"},
+		{"switch-prob", *switchProb >= 0 && *switchProb < 1, "in [0,1)"},
+		{"flash-peers", *flashPeers >= 0, "non-negative"},
+		{"churn-arrival", *churnArrival >= 0 && *churnArrival <= math.MaxFloat64, "finite and non-negative"},
+		{"churn-lifetime", *churnLifetime > 0 && *churnLifetime <= math.MaxFloat64, "finite and positive"},
+		{"churn-switch", *churnSwitch >= 0 && *churnSwitch < 1, "in [0,1)"},
+		{"view-size", *viewSize >= 0, "non-negative"},
+		{"fault-domains", *faultDomains >= 0, "non-negative"},
+		{"fault-partition-domain", *faultPartDomain >= 0, "non-negative"},
+		{"fault-partition-from", *faultPartFrom >= 0, "non-negative"},
+		{"fault-partition-until", *faultPartUntil >= 0, "non-negative"},
+		{"fault-crash-helper", *faultCrashHelper >= 0, "non-negative"},
+		{"fault-crash-from", *faultCrashFrom >= 0, "non-negative"},
+		{"fault-crash-until", *faultCrashUntil >= 0, "non-negative"},
+		{"fault-drop", *faultDrop >= 0 && *faultDrop <= 1, "in [0,1]"},
+		{"fault-delay", *faultDelay >= 0 && *faultDelay <= 1, "in [0,1]"},
+		{"detector-suspect", *detectorSuspect >= 0, "non-negative"},
+		{"detector-readmit", *detectorReadmit >= 0, "non-negative"},
+	} {
+		if set[c.flag] && !c.ok {
+			return fmt.Errorf("-%s %s: must be %s", c.flag, fs.Lookup(c.flag).Value, c.want)
+		}
 	}
-	if *peers > 0 {
-		sc.TotalPeers = *peers
+	override := func(flag string, apply func()) {
+		if set[flag] {
+			apply()
+		}
 	}
-	if *helpers > 0 {
-		sc.Helpers = *helpers
-	}
-	if *zipf >= 0 {
-		sc.ZipfS = *zipf
-	}
-	if *bitrate > 0 {
-		sc.Bitrate = *bitrate
-	}
-	if *epochs > 0 {
-		sc.Epochs = *epochs
-	}
-	if *epochStages > 0 {
-		sc.EpochStages = *epochStages
-	}
-	if *switchProb >= 0 {
-		sc.SwitchProb = *switchProb
-	}
-	if *flashPeers >= 0 {
-		sc.FlashPeers = *flashPeers
-	}
-	if *churnArrival >= 0 {
-		sc.ChurnArrivalRate = *churnArrival
-	}
-	if *churnLifetime >= 0 {
-		sc.ChurnMeanLifetime = *churnLifetime
-	}
-	if *churnSwitch >= 0 {
-		sc.ChurnSwitchRate = *churnSwitch
-	}
+	override("channels", func() { sc.Channels = *channels })
+	override("peers", func() { sc.TotalPeers = *peers })
+	override("helpers", func() { sc.Helpers = *helpers })
+	override("zipf", func() { sc.ZipfS = *zipf })
+	override("bitrate", func() { sc.Bitrate = *bitrate })
+	override("epochs", func() { sc.Epochs = *epochs })
+	override("epoch-stages", func() { sc.EpochStages = *epochStages })
+	override("switch-prob", func() { sc.SwitchProb = *switchProb })
+	override("flash-peers", func() { sc.FlashPeers = *flashPeers })
+	override("churn-arrival", func() { sc.ChurnArrivalRate = *churnArrival })
+	override("churn-lifetime", func() { sc.ChurnMeanLifetime = *churnLifetime })
+	override("churn-switch", func() { sc.ChurnSwitchRate = *churnSwitch })
 	if sc.ChurnArrivalRate > 0 && sc.ChurnMeanLifetime <= 0 {
 		sc.ChurnMeanLifetime = 60
 	}
-	if *viewSize >= 0 {
-		sc.ViewSize = *viewSize
-	}
-	if *viewRefresh != viewRefreshUnset {
-		sc.ViewRefresh = *viewRefresh
-	}
-	if *faultDomains >= 0 {
-		sc.FaultDomains = *faultDomains
-	}
-	if *faultPartDomain >= 0 {
-		sc.PartitionDomain = *faultPartDomain
-	}
-	if *faultPartFrom >= 0 {
-		sc.PartitionFrom = *faultPartFrom
-	}
-	if *faultPartUntil >= 0 {
-		sc.PartitionUntil = *faultPartUntil
-	}
-	if *faultCrashHelper >= 0 {
-		sc.CrashHelper = *faultCrashHelper
-	}
-	if *faultCrashFrom >= 0 {
-		sc.CrashFrom = *faultCrashFrom
-	}
-	if *faultCrashUntil >= 0 {
-		sc.CrashUntil = *faultCrashUntil
-	}
-	if *faultDrop >= 0 {
-		sc.LinkDrop = *faultDrop
-	}
-	if *faultDelay >= 0 {
-		sc.LinkDelay = *faultDelay
-	}
+	override("view-size", func() { sc.ViewSize = *viewSize })
+	override("view-refresh", func() { sc.ViewRefresh = *viewRefresh })
+	override("fault-domains", func() { sc.FaultDomains = *faultDomains })
+	override("fault-partition-domain", func() { sc.PartitionDomain = *faultPartDomain })
+	override("fault-partition-from", func() { sc.PartitionFrom = *faultPartFrom })
+	override("fault-partition-until", func() { sc.PartitionUntil = *faultPartUntil })
+	override("fault-crash-helper", func() { sc.CrashHelper = *faultCrashHelper })
+	override("fault-crash-from", func() { sc.CrashFrom = *faultCrashFrom })
+	override("fault-crash-until", func() { sc.CrashUntil = *faultCrashUntil })
+	override("fault-drop", func() { sc.LinkDrop = *faultDrop })
+	override("fault-delay", func() { sc.LinkDelay = *faultDelay })
 	if *faultLossLinks {
 		sc.Queueing = false
 	}
-	if *detectorSuspect >= 0 {
+	override("detector-suspect", func() {
 		sc.DetectorSuspect = *detectorSuspect
 		if *detectorSuspect == 0 {
 			sc.DetectorReadmit = 0
 		}
-	}
-	if *detectorReadmit >= 0 {
-		sc.DetectorReadmit = *detectorReadmit
-	}
+	})
+	override("detector-readmit", func() { sc.DetectorReadmit = *detectorReadmit })
 	if *allocName != "" {
 		kind, err := parseAllocator(*allocName)
 		if err != nil {
@@ -265,9 +263,7 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		sc.Allocator = kind
 	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
+	override("seed", func() { sc.Seed = *seed })
 
 	cfg, err := sc.Build()
 	if err != nil {

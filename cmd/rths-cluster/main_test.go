@@ -135,7 +135,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-preset", "galactic"}, "unknown preset"},
 		{[]string{"-alloc", "psychic"}, "unknown allocator"},
-		// The channel pool is derived from the host and the backend from
+		// The channel fork is derived from the host and the backend from
 		// the scenario; neither is configured.
 		{[]string{"-workers", "4"}, "flag provided but not defined"},
 		{[]string{"-backend", "distsim"}, "flag provided but not defined"},
@@ -146,6 +146,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// is empty, so the partition would cut nothing.
 		{[]string{"-preset", "faults", "-fault-partition-domain", "9"}, "partition domain 9 holds no helper"},
 		{[]string{"-preset", "faults", "-fault-domains", "1"}, "partition needs FaultDomains > 1"},
+		// Every flag the user sets applies, so a bad value fails naming
+		// the flag instead of quietly running the preset unchanged.
+		{[]string{"-preset", "faults", "-fault-drop", "NaN"}, "-fault-drop NaN"},
+		{[]string{"-bitrate", "NaN"}, "-bitrate NaN"},
+		{[]string{"-bitrate", "-1"}, "-bitrate -1"},
+		{[]string{"-zipf", "NaN"}, "-zipf NaN"},
+		{[]string{"-switch-prob", "NaN"}, "-switch-prob NaN"},
+		{[]string{"-churn-arrival", "NaN"}, "-churn-arrival NaN"},
+		{[]string{"-epoch-stages", "-1"}, "-epoch-stages -1"},
+		{[]string{"-channels", "0"}, "-channels 0"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)

@@ -9,7 +9,7 @@
 // Contracts enforced (see PERF.md "Static guarantees"):
 //
 //   - determinism: the deterministic packages (core, regret, distsim,
-//     cluster, markov, xrand, alloc, trace) must not read wall
+//     cluster, markov, xrand, alloc, trace, forkjoin) must not read wall
 //     clocks (time.Now/Since/Until), import math/rand, or feed ordered
 //     state from map iteration. Deliberate seams are annotated with a
 //     statement-scoped //rths:nondeterminism-ok <reason> comment.

@@ -16,18 +16,19 @@ const NondeterminismOK = "nondeterminism-ok"
 
 // deterministicPkgs names the packages whose outputs must be
 // bit-reproducible for a fixed seed: equal (Config, Seed) must yield
-// identical welfare/continuity on any host, with the cluster's channel
-// pool on or off, and on both backends.
+// identical welfare/continuity on any host, at any fork width of the
+// fork-join executor, and on both backends.
 // Matched by the last element of the package path.
 var deterministicPkgs = map[string]bool{
-	"core":    true,
-	"regret":  true,
-	"distsim": true,
-	"cluster": true,
-	"markov":  true,
-	"xrand":   true,
-	"alloc":   true,
-	"trace":   true,
+	"core":     true,
+	"regret":   true,
+	"distsim":  true,
+	"cluster":  true,
+	"markov":   true,
+	"xrand":    true,
+	"alloc":    true,
+	"trace":    true,
+	"forkjoin": true,
 }
 
 // IsDeterministicPkg reports whether the package path names one of the

@@ -32,7 +32,7 @@ func arenaChurnWorkload(t *testing.T, horizon int, seed uint64) *trace.Workload 
 // join/leave/switch events with partial views enabled must (a) keep every
 // channel's learner arena dense — exactly one occupied slot per resident
 // viewer, nothing leaked by departures or migrations — and (b) stay
-// bit-identical inline, on the channel pool, and across the memory vs
+// bit-identical inline, with channels forked, and across the memory vs
 // distsim backends, so adoption/release/compaction provably never touches the
 // trajectory. (The companion 0-alloc pin for non-refresh stages lives at
 // the engine level in core's TestArenaDensityAndAllocsUnderChurn, where
@@ -51,9 +51,7 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if link == nil {
-			forcePool(t, c, procs)
-		}
+		forcePool(t, c, procs)
 		w := arenaChurnWorkload(t, horizon, 29)
 		var out []EpochMetrics
 		if err := c.Replay(w, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
@@ -98,14 +96,16 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, got[e], ref[e])
 		}
 	}
-	dist, cd := run(distsim.Lossy{}, 0)
-	cd.Close()
-	if len(dist) != len(ref) {
-		t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
-	}
-	for e := range ref {
-		if dist[e] != ref[e] {
-			t.Fatalf("distsim epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], ref[e])
+	for _, procs := range []int{1, 4} {
+		dist, cd := run(distsim.Lossy{}, procs)
+		cd.Close()
+		if len(dist) != len(ref) {
+			t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
+		}
+		for e := range ref {
+			if dist[e] != ref[e] {
+				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n distsim %+v\n memory  %+v", procs, e, dist[e], ref[e])
+			}
 		}
 	}
 }

@@ -2,17 +2,15 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"rths/internal/core"
 	"rths/internal/distsim"
+	"rths/internal/forkjoin"
 	"rths/internal/streaming"
 )
 
 // memChannel is one live channel's execution state on the shared-memory
-// backend. When the channel pool runs, exactly one worker steps a
+// backend. When channels step on the executor, exactly one lane steps a
 // channel, so the per-stage output slot needs no synchronization.
 type memChannel struct {
 	name    string
@@ -23,29 +21,23 @@ type memChannel struct {
 	err     error
 }
 
-// poolMinWork is the stage size, in Σ over channels of viewers × actions
-// per viewer, from which the memory backend steps channels on its pool.
-// A viewer's select and update are O(actions), so the sum is PERF.md's
-// per-stage learner cost; below it the fan-out's goroutine wake-ups cost
-// more than a second core saves. It is the smallest measured shape where
-// two workers won at least 7 of 8 pairs (PERF.md "The channel pool").
-const poolMinWork = 16000
-
 // memBackend steps channels as shared-memory core.Systems. Channels never
-// share state within a stage, so stepping them on a pool changes only
-// wall-clock time, never results: the pool is derived, not configured.
-// It runs min(procs, channels) workers when procs > 1 and the stage
-// reaches poolMinWork, and steps channels inline otherwise.
+// share state within a stage, so stepping them on the fork-join executor
+// changes only wall-clock time, never results: the fork is derived, not
+// configured. Channels fork on min(GOMAXPROCS, channels) lanes behind
+// distsim's channel gate (the stage reaches its minimum work), and step
+// inline otherwise.
 type memBackend struct {
 	channels []*memChannel
 	factory  core.SelectorFactory
 	scale    float64
 	startup  float64
-	// procs is GOMAXPROCS captured at construction, so the execution mode
-	// stays stable if something adjusts GOMAXPROCS mid-run; minWork is
-	// poolMinWork. Tests override both to force either side of the gate.
-	procs   int
-	minWork int
+	// gate captures GOMAXPROCS at construction, so the execution mode
+	// stays stable if something adjusts GOMAXPROCS mid-run. Tests
+	// override it to force either side of the gate.
+	gate  forkjoin.Gate
+	group forkjoin.Group
+	out   []stageData // the stage being stepped (valid during step only)
 }
 
 func newMemBackend(cfg Config, assign []int, seeds []uint64, scale, startup float64) (*memBackend, error) {
@@ -53,8 +45,7 @@ func newMemBackend(cfg Config, assign []int, seeds []uint64, scale, startup floa
 		factory: cfg.Factory,
 		scale:   scale,
 		startup: startup,
-		procs:   runtime.GOMAXPROCS(0),
-		minWork: poolMinWork,
+		gate:    distsim.PoolGate(),
 	}
 	for ci, spec := range cfg.Channels {
 		var pool []core.HelperSpec
@@ -135,49 +126,22 @@ func (b *memBackend) removeHelper(ci, local, id int) error {
 	return b.channels[ci].sys.RemoveHelper(local)
 }
 
-// poolWorkers returns how many workers step the next stage: 0 (inline)
-// unless the gate passes.
-func (b *memBackend) poolWorkers() int {
-	w := min(b.procs, len(b.channels))
-	if w < 2 {
-		return 0
-	}
+// width returns how many lanes step the next stage (1 = inline).
+func (b *memBackend) width() int {
 	work := 0
 	for _, st := range b.channels {
 		work += st.sys.NumPeers() * st.sys.NewPeerActions()
 	}
-	if work < b.minWork {
-		return 0
-	}
-	return w
+	return b.gate.Width(len(b.channels), work)
 }
 
 func (b *memBackend) step(out []stageData) error {
-	if w := b.poolWorkers(); w > 0 {
-		// Workers, the caller among them, claim the next unstepped
-		// channel, so one heavy channel never leaves the other workers a
-		// fixed share of idle time.
-		var next atomic.Int64
-		run := func() {
-			for ci := int(next.Add(1) - 1); ci < len(b.channels); ci = int(next.Add(1) - 1) {
-				b.channels[ci].step(&out[ci])
-			}
-		}
-		var wg sync.WaitGroup
-		wg.Add(w - 1)
-		for k := 1; k < w; k++ {
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		run()
-		wg.Wait()
-	} else {
-		for ci, st := range b.channels {
-			st.step(&out[ci])
-		}
-	}
+	// Lanes, the caller among them, claim the next unstepped channel, so
+	// one heavy channel never leaves the other lanes a fixed share of
+	// idle time.
+	b.out = out
+	b.group.Run(len(b.channels), b.width(), b)
+	b.out = nil
 	for _, st := range b.channels {
 		if st.err != nil {
 			err := st.err
@@ -187,6 +151,9 @@ func (b *memBackend) step(out []stageData) error {
 	}
 	return nil
 }
+
+// Do steps channel ci: the executor's task over a stage's channels.
+func (b *memBackend) Do(ci int) { b.channels[ci].step(&b.out[ci]) }
 
 func (b *memBackend) lastResult(ci int) core.StageResult { return b.channels[ci].last }
 

@@ -495,7 +495,8 @@ func TestReplayFlushesPartialEpoch(t *testing.T) {
 // criterion: replaying one workload over the full scenario dynamics
 // (Markov switching, a flash crowd, re-allocation epochs) must produce
 // bit-identical per-epoch metrics on the shared-memory backend inline and
-// on the channel pool, AND on the distsim backend at zero link loss.
+// with channels forked, AND on the distsim backend at zero link loss,
+// its managers inline and forked.
 func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	const horizon = 80 // 4 epochs at EpochStages=20
 	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
@@ -504,9 +505,7 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if link == nil {
-			forcePool(t, c, procs)
-		}
+		forcePool(t, c, procs)
 		w := churnWorkload(t, horizon, 17)
 		var out []EpochMetrics
 		if err := c.Replay(w, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
@@ -535,13 +534,15 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatalf("pool epoch %d diverges:\n pool   %+v\n inline %+v", e, pooled[e], ref[e])
 		}
 	}
-	dist := run(distsim.Lossy{}, 0)
-	if len(dist) != len(ref) {
-		t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
-	}
-	for e := range ref {
-		if dist[e] != ref[e] {
-			t.Fatalf("distsim epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], ref[e])
+	for _, procs := range []int{1, 4} {
+		dist := run(distsim.Lossy{}, procs)
+		if len(dist) != len(ref) {
+			t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
+		}
+		for e := range ref {
+			if dist[e] != ref[e] {
+				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n distsim %+v\n memory  %+v", procs, e, dist[e], ref[e])
+			}
 		}
 	}
 }

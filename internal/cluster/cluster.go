@@ -13,9 +13,10 @@
 //     execution backend that New derives from the config: when any of
 //     Link, Faults or Detector is set the channels run as message-passing
 //     nodes on internal/distsim, and otherwise the shared-memory backend
-//     steps them inline, or on a channel pool it derives from GOMAXPROCS
-//     and the stage size. A perfect link (distsim.Lossy{}) runs distsim at
-//     zero loss. Per-epoch aggregates are reduced in channel-index order
+//     steps them. Either backend forks the channels on the fork-join
+//     executor when GOMAXPROCS and the stage size make it pay, and steps
+//     them inline otherwise. A perfect link (distsim.Lossy{}) runs distsim
+//     at zero loss. Per-epoch aggregates are reduced in channel-index order
 //     either way, so results are bit-identical with the pool on or off AND
 //     on both backends at zero link latency/drop (pinned by
 //     TestDeterministicAcrossWorkers and TestDistsimBackendBitIdentical).
@@ -25,8 +26,8 @@
 //     Replay/ReplayTotals drive a whole trace.Workload through the engine —
 //     each stage's events applied before the stage steps — so replayed
 //     workloads compose with flash crowds, Markov switching, re-allocation
-//     epochs, the channel pool, and both backends (distsim executes the
-//     ops as queued control messages applied at the next round).
+//     epochs, forked channels, and both backends (distsim applies the
+//     ops as queued control messages at the next round).
 //
 //   - The epoch loop fires every EpochStages stages: per-channel demands
 //     (audience × bitrate) are measured, the configured allocator proposes
@@ -165,8 +166,8 @@ type Config struct {
 	ViewRefresh int
 	// Link, Faults and Detector need message passing: when any of them is
 	// set, New runs every channel as a manager node and every helper as
-	// its own node on the batched distsim runtime, and Close joins the
-	// node goroutines. With none set the channels step on shared memory.
+	// its own node on the batched distsim runtime. With none set the
+	// channels step on shared memory.
 	//
 	// Link adjudicates every data-plane message of the message-passing
 	// runtime. A perfect link (distsim.Lossy{}) drops and delays nothing
@@ -200,7 +201,7 @@ type Config struct {
 	// fault windows, view refreshes, viewer churn) as JSONL. Events are
 	// stamped with the stage clock, never wall time, and emitted by the
 	// director alone in a fixed order — a trace is byte-identical across
-	// equal-seed runs, with the channel pool on or off. The caller owns flushing
+	// equal-seed runs, at any fork width. The caller owns flushing
 	// (telemetry.Tracer.Flush) and the underlying writer.
 	Trace *telemetry.Tracer
 	// SeriesEvery > 0 emits periodic per-entity samples into Trace every
@@ -215,8 +216,8 @@ type Config struct {
 
 // EpochMetrics is the cluster's per-epoch observable — the JSON record
 // cmd/rths-cluster emits. All fields are reduced in channel-index order,
-// so a fixed Seed yields bit-identical values with the channel pool on or
-// off and on both execution backends (at zero link latency/drop).
+// so a fixed Seed yields bit-identical values at any fork width and on
+// both execution backends (at zero link latency/drop).
 type EpochMetrics struct {
 	// Epoch is the 0-based epoch index; the epoch covers the Stages stages
 	// since the previous boundary. Stages equals Config.EpochStages except
@@ -349,7 +350,7 @@ type backend interface {
 	// attribution and the cumulative barrier tax; ok is false when the
 	// backend doesn't profile rounds (shared memory, or spans disabled).
 	roundProfile() (p distsim.RoundProfile, barrierTax float64, ok bool)
-	// close releases backend resources (joins node goroutines on distsim).
+	// close releases backend resources (ends the distsim runtime).
 	close() error
 }
 
@@ -698,9 +699,9 @@ func (c *Cluster) Assignment() alloc.Assignment {
 	return append(alloc.Assignment(nil), c.assign...)
 }
 
-// Close releases the execution backend. It joins the node goroutines of
-// the distsim backend (built when any of Link, Faults or Detector is set)
-// and is a no-op on the memory backend.
+// Close releases the execution backend. It ends the distsim backend's
+// runtime (built when any of Link, Faults or Detector is set), so later
+// stages fail, and is a no-op on the memory backend.
 func (c *Cluster) Close() error { return c.backend.close() }
 
 // MaxDeficit evaluates the current assignment against the channels'
@@ -1396,8 +1397,8 @@ func (c *Cluster) Apply(e trace.Event) error {
 // observed. A trailing partial epoch is flushed with Stages set to its
 // actual length. Events beyond the horizon are dropped (the
 // trace.Workload.PerStage contract), so a short replay simply truncates
-// the workload. Metrics are bit-identical with the channel pool on or off
-// and on both backends at zero link latency/drop.
+// the workload. Metrics are bit-identical at any fork width and on both
+// backends at zero link latency/drop.
 func (c *Cluster) Replay(w *trace.Workload, horizon int, observe func(EpochMetrics)) error {
 	perStage := w.PerStage(horizon)
 	for s := 0; s < horizon; s++ {

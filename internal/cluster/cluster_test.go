@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rths/internal/core"
+	"rths/internal/distsim"
+	"rths/internal/forkjoin"
 	"rths/internal/regret"
 )
 
@@ -279,55 +281,65 @@ func TestMembershipConservedUnderSwitching(t *testing.T) {
 	}
 }
 
-// forcePool pins c's channel pool whatever the host and the stage size:
-// procs <= 1 steps channels inline, procs > 1 runs min(procs, channels)
-// workers from the next stage on. Only the memory backend has a pool.
+// forcePool pins how c steps its channels whatever the host and the
+// stage size: procs <= 1 steps them inline, procs > 1 forks them on
+// min(procs, channels) lanes from the next stage on. It pins the memory
+// backend's channel fork and the distsim backend's manager fork alike.
 func forcePool(t *testing.T, c *Cluster, procs int) {
 	t.Helper()
-	b, ok := c.backend.(*memBackend)
-	if !ok {
+	g := forkjoin.Gate{Procs: procs}
+	switch b := c.backend.(type) {
+	case *memBackend:
+		b.gate = g
+		if want := min(procs, len(b.channels)); want > 1 && b.width() != want {
+			t.Fatalf("forced fork runs %d lanes, want %d", b.width(), want)
+		}
+	case *distBackend:
+		b.rt.SetPoolGate(g)
+	default:
 		t.Fatalf("forcePool on %T", c.backend)
-	}
-	b.procs, b.minWork = procs, 0
-	if want := min(procs, len(b.channels)); want > 1 && b.poolWorkers() != want {
-		t.Fatalf("forced pool runs %d workers, want %d", b.poolWorkers(), want)
 	}
 }
 
 // TestDeterministicAcrossWorkers pins the cluster's determinism contract:
-// the channel pool affects wall-clock only. The pool's width is
-// derived from the host (min(GOMAXPROCS, channels)), so every per-epoch
-// metric must be bit-identical inline and on 2 and 4 workers, across
-// epochs with viewer switching, a flash crowd, replayed churn, partial
-// views and helper re-allocation.
+// forking channels on the executor affects wall-clock only. The fork's
+// width is derived from the host (min(GOMAXPROCS, channels)), so every
+// per-epoch metric must be bit-identical inline and on 2 and 4 lanes, on
+// the memory backend and with the distsim backend's managers forked
+// alike, across epochs with viewer switching, a flash crowd, replayed
+// churn, partial views and helper re-allocation.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	const horizon = 100 // 5 epochs at EpochStages=20
 	wl := churnWorkload(t, horizon, 29)
-	run := func(procs int) []EpochMetrics {
+	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
 		cfg := smallConfig(17)
 		cfg.ViewSize = 2
 		cfg.ViewRefresh = 10
+		cfg.Link = link
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		forcePool(t, c, procs)
 		var out []EpochMetrics
 		if err := c.Replay(wl, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
 			t.Fatal(err)
 		}
-		viewed := 0
-		for _, st := range c.backend.(*memBackend).channels {
-			if st.sys.NumPeers() > 0 && st.sys.PeerView(0) != nil {
-				viewed++
+		if b, ok := c.backend.(*memBackend); ok {
+			viewed := 0
+			for _, st := range b.channels {
+				if st.sys.NumPeers() > 0 && st.sys.PeerView(0) != nil {
+					viewed++
+				}
 			}
-		}
-		if viewed == 0 {
-			t.Fatal("no channel engaged partial views; determinism test does not cover views")
+			if viewed == 0 {
+				t.Fatal("no channel engaged partial views; determinism test does not cover views")
+			}
 		}
 		return out
 	}
-	ref := run(1)
+	ref := run(nil, 1)
 	var moved, joins, leaves int
 	for _, m := range ref {
 		moved += m.Moves
@@ -338,22 +350,27 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("scenario inert (moves=%d joins=%d leaves=%d); determinism test does not cover migration and churn",
 			moved, joins, leaves)
 	}
-	for _, procs := range []int{2, 4} {
-		got := run(procs)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d epochs %d vs %d", procs, len(got), len(ref))
-		}
-		for e := range ref {
-			if got[e] != ref[e] {
-				t.Fatalf("workers=%d epoch %d diverges:\n got %+v\nwant %+v", procs, e, got[e], ref[e])
+	for _, link := range links {
+		for _, procs := range []int{1, 2, 4} {
+			if link == nil && procs == 1 {
+				continue // the reference
+			}
+			got := run(link, procs)
+			if len(got) != len(ref) {
+				t.Fatalf("backend=%s workers=%d epochs %d vs %d", backendName(link), procs, len(got), len(ref))
+			}
+			for e := range ref {
+				if got[e] != ref[e] {
+					t.Fatalf("backend=%s workers=%d epoch %d diverges:\n got %+v\nwant %+v", backendName(link), procs, e, got[e], ref[e])
+				}
 			}
 		}
 	}
 }
 
 // TestScaleDeterminism is the acceptance-scale run: 100 channels × 10k
-// total viewers stepped on the channel pool must reproduce the inline
-// metrics bit-for-bit, including across a re-allocation epoch.
+// total viewers with channels forked on the executor must reproduce the
+// inline metrics bit-for-bit, including across a re-allocation epoch.
 func TestScaleDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance-scale run")

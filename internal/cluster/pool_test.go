@@ -7,7 +7,7 @@ import (
 	"rths/internal/experiment"
 )
 
-// The derived channel pool's gate: never at GOMAXPROCS 1, never on the
+// The derived channel fork's gate: never at GOMAXPROCS 1, never on the
 // laptop-scale presets (whose stages are too small to pay for the
 // fan-out) from their first stage to their last, and on for the scale
 // preset with one worker per core.

@@ -29,7 +29,7 @@ func runEpochs(t *testing.T, cfg Config, epochs int) []EpochMetrics {
 
 // Telemetry must never perturb the run: with instruments and tracing on,
 // every epoch record is bit-identical to the uninstrumented run, inline
-// and on the channel pool, and on both backends.
+// and with channels forked, and on both backends.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	const epochs = 3
 	t.Run("memory workers", func(t *testing.T) {
@@ -361,6 +361,7 @@ func TestBarrierTaxSkewVsUniform(t *testing.T) {
 	}
 	skewed := tax([4]int{2000, 5, 5, 5})
 	uniform := tax([4]int{500, 500, 500, 500})
+	t.Logf("barrier tax: skewed %.3f, uniform %.3f", skewed, uniform)
 	if uniform >= skewed {
 		t.Errorf("uniform tax %g not below skewed tax %g", uniform, skewed)
 	}

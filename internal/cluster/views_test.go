@@ -51,7 +51,7 @@ func TestClusterViewEquivalenceFullView(t *testing.T) {
 // With partial views engaged (ViewSize below the pool sizes) the two
 // backends, inline and pooled stepping must still agree bit-for-bit: view
 // sampling and refresh run on per-peer streams inside each channel's
-// system, so neither the channel pool nor the message-passing runtime can
+// system, so neither the channel fork nor the message-passing runtime can
 // perturb them. The scenario keeps switching, a flash crowd and
 // re-allocation epochs on, so views compose with every churn source.
 func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
@@ -61,9 +61,7 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if link == nil {
-			forcePool(t, c, procs)
-		}
+		forcePool(t, c, procs)
 		var out []EpochMetrics
 		if err := c.Run(4, func(m EpochMetrics) { out = append(out, m) }); err != nil {
 			t.Fatal(err)
@@ -85,10 +83,12 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, pooled[e], base[e])
 		}
 	}
-	dist := run(distsim.Lossy{}, 0)
-	for e := range base {
-		if dist[e] != base[e] {
-			t.Fatalf("distsim epoch %d diverges:\n got  %+v\n want %+v", e, dist[e], base[e])
+	for _, procs := range []int{1, 4} {
+		dist := run(distsim.Lossy{}, procs)
+		for e := range base {
+			if dist[e] != base[e] {
+				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n got  %+v\n want %+v", procs, e, dist[e], base[e])
+			}
 		}
 	}
 }

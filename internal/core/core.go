@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"rths/internal/forkjoin"
 	"rths/internal/markov"
 	"rths/internal/regret"
 	"rths/internal/telemetry"
@@ -263,6 +264,17 @@ type System struct {
 	inst           *telemetry.SystemInstruments
 	stageViewSwaps int
 
+	// blocks gates the RNG-free per-learner passes — the feedback
+	// updates and full-view helper churn — onto the fork-join executor,
+	// where pass runs them over fixed contiguous blocks of peers. The
+	// gate captures GOMAXPROCS at construction; nonLearners counts the
+	// peers whose policy is not the RTHS learner, which keep every pass
+	// sequential (another policy may share state between peers).
+	blocks      forkjoin.Gate
+	group       forkjoin.Group
+	pass        blockPass
+	nonLearners int
+
 	// arena is the struct-of-arrays store for the resident RTHS learners:
 	// every peer whose selector is a *regret.Learner has its proxy matrix
 	// and probability vector in the arena's contiguous slabs, so the
@@ -333,7 +345,8 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: ViewSize=%d", cfg.ViewSize)
 	}
 	rng := xrand.New(cfg.Seed)
-	s := &System{rng: rng, inst: cfg.Instruments}
+	s := &System{rng: rng, inst: cfg.Instruments, blocks: forkjoin.NewGate(blockMinWork)}
+	s.pass.s = s
 
 	scale := 0.0
 	for j, spec := range cfg.Helpers {
@@ -408,10 +421,7 @@ func New(cfg Config) (*System, error) {
 		if err := s.checkViewCompatible(sel); err != nil {
 			return nil, fmt.Errorf("core: selector for peer %d: %w", i, err)
 		}
-		p := newPeer(sel, cfg.DemandPerPeer)
-		s.attachView(p)
-		s.adopt(p)
-		s.peers = append(s.peers, p)
+		s.addPeer(newPeer(sel, cfg.DemandPerPeer))
 	}
 	s.actions = make([]int, len(s.peers))
 	s.viewActions = make([]int, len(s.peers))
@@ -463,6 +473,16 @@ func (s *System) discard(p *peer) {
 	if s.arena != nil && p.lrn != nil {
 		s.arena.Discard(p.lrn)
 	}
+}
+
+// addPeer gives a joining peer its view and arena slot and appends it.
+func (s *System) addPeer(p *peer) {
+	s.attachView(p)
+	s.adopt(p)
+	if p.lrn == nil {
+		s.nonLearners++
+	}
+	s.peers = append(s.peers, p)
 }
 
 // LearnerArena exposes the system's learner arena for inspection (tests
@@ -783,6 +803,10 @@ func (s *System) finishInto(res *StageResult) error {
 			s.helperRates[j] = 0
 		}
 	}
+	// Every floating-point sum accumulates in one sequential pass in
+	// peer order. The learners' updates ride along in that pass, or fork
+	// in peer blocks after it when the block gate opens.
+	w := s.blockWidth(s.NewPeerActions())
 	var welfare, serverLoad, demandSum float64
 	for i, p := range s.peers {
 		r := s.helperRates[s.actions[i]]
@@ -794,14 +818,15 @@ func (s *System) finishInto(res *StageResult) error {
 				serverLoad += short
 			}
 		}
-		// The selector is fed its own (view-local) action back; the
-		// realized rate was routed through the global id above.
-		act := s.actions[i]
-		if p.view != nil {
-			act = s.viewActions[i]
+		if w == 1 {
+			if err := s.feedback(i, p); err != nil {
+				return err
+			}
 		}
-		if err := p.feedback(act, r/s.scale); err != nil {
-			return feedbackErr(i, err)
+	}
+	if w > 1 {
+		if err := s.runBlocks(passFeedback, 0, 0, w); err != nil {
+			return err
 		}
 	}
 	minDeficit := demandSum - capSum
@@ -826,6 +851,22 @@ func (s *System) finishInto(res *StageResult) error {
 		s.inst.Stages.Inc()
 	}
 	s.stage++
+	return nil
+}
+
+// feedback delivers peer i, whose record is p, its realized rate.
+//
+//rths:hotpath
+func (s *System) feedback(i int, p *peer) error {
+	// The selector is fed its own (view-local) action back; the realized
+	// rate was routed through the global id.
+	act := s.actions[i]
+	if p.view != nil {
+		act = s.viewActions[i]
+	}
+	if err := p.feedback(act, s.rates[i]/s.scale); err != nil {
+		return feedbackErr(i, err)
+	}
 	return nil
 }
 
@@ -973,10 +1014,7 @@ func (s *System) AddPeer(sel Selector, demand float64) (int, error) {
 			return 0, fmt.Errorf("core: AddPeer: %w", err)
 		}
 	}
-	p := newPeer(sel, demand)
-	s.attachView(p)
-	s.adopt(p)
-	s.peers = append(s.peers, p)
+	s.addPeer(newPeer(sel, demand))
 	s.actions = append(s.actions, 0)
 	s.viewActions = append(s.viewActions, 0)
 	s.rates = append(s.rates, 0)
@@ -1001,6 +1039,9 @@ func (s *System) RemovePeer(i int) error {
 	}
 	removed := s.peers[i]
 	s.discard(removed)
+	if removed.lrn == nil {
+		s.nonLearners--
+	}
 	s.peers = append(s.peers[:i], s.peers[i+1:]...)
 	s.actions = s.actions[:len(s.peers)]
 	s.viewActions = s.viewActions[:len(s.peers)]
@@ -1097,6 +1138,25 @@ func (s *System) AddHelper(spec HelperSpec) error {
 		s.viewIdx = append(s.viewIdx, 0)
 	}
 	newID := len(s.helpers) - 1
+	if w := s.blockWidth(len(s.helpers)); s.viewMaster == nil && w > 1 {
+		// Full-view learners all share m, so the first one's AddAction
+		// regrows the arena, if it must, before the fork: no block ever
+		// regrows it under another block's learners.
+		s.peers[0].lrn.AddAction()
+		s.runBlocks(passAddAction, 0, 1, w)
+	} else {
+		s.addActions(newID)
+	}
+	if engaging {
+		s.engageViews()
+	}
+	return nil
+}
+
+// addActions is AddHelper's sequential per-peer pass: full-view peers
+// grow their action set, and partial-view peers with room in their view
+// adopt helper newID.
+func (s *System) addActions(newID int) {
 	for _, p := range s.peers {
 		if p.view == nil {
 			p.sel.(DynamicSelector).AddAction()
@@ -1110,10 +1170,6 @@ func (s *System) AddHelper(spec HelperSpec) error {
 			}
 		}
 	}
-	if engaging {
-		s.engageViews()
-	}
-	return nil
 }
 
 // engageViews switches the system from full views to partial views — the
@@ -1207,10 +1263,107 @@ func (s *System) RemoveHelper(j int) error {
 		s.viewMark = s.viewMark[:len(s.helpers)]
 		s.viewIdx = s.viewIdx[:len(s.helpers)]
 	}
+	if w := s.blockWidth(len(s.helpers) + 1); s.viewMaster == nil && w > 1 {
+		s.runBlocks(passRemoveAction, j, 0, w)
+		return nil
+	}
 	for _, p := range s.peers {
 		if p.view == nil {
 			p.sel.(DynamicSelector).RemoveAction(j)
 		}
 	}
 	return nil
+}
+
+// blockMinWork is the pass size, in peers × actions per peer, from which
+// the RNG-free per-learner passes run in blocks on the fork-join
+// executor. Below it the fork's wake-ups and the split pass cost more
+// than a second core saves. It is read from BenchmarkFeedbackPass's
+// crossover table (PERF.md "The fork-join executor").
+const blockMinWork = 12000
+
+// blocksPerLane is how many contiguous peer blocks a pass forks per
+// lane: enough that a lane joining late, or finishing early, still finds
+// blocks to claim.
+const blocksPerLane = 4
+
+type passKind uint8
+
+const (
+	passFeedback passKind = iota
+	passAddAction
+	passRemoveAction
+)
+
+// blockPass is the executor's task over fixed contiguous blocks of
+// peers: Do(b) runs one RNG-free per-learner pass over block b. Each
+// peer's learner touches only its own state (and its own arena slot), so
+// the blocks may run on any lane in any order without changing a bit.
+type blockPass struct {
+	s      *System
+	kind   passKind
+	k      int // passRemoveAction: the removed action
+	lo, n  int // the pass covers peers [lo, lo+n)
+	blocks int
+	errs   []error // passFeedback: each block's first failure
+}
+
+// blockWidth returns the lanes a per-learner pass over every peer, each
+// with the given action count, forks on: 1 (sequential) unless every
+// policy is the RTHS learner and the gate opens.
+func (s *System) blockWidth(actions int) int {
+	if s.nonLearners > 0 {
+		return 1
+	}
+	return s.blocks.Width(len(s.peers), len(s.peers)*actions)
+}
+
+// runBlocks forks a per-learner pass over peers [lo, NumPeers) in
+// blocksPerLane blocks per lane and joins it. A feedback pass returns
+// the failure of the lowest failing peer.
+//
+//rths:hotpath
+func (s *System) runBlocks(kind passKind, k, lo, width int) error {
+	b := &s.pass
+	b.kind, b.k, b.lo, b.n = kind, k, lo, len(s.peers)-lo
+	b.blocks = min(b.n, blocksPerLane*width)
+	if len(b.errs) < b.blocks {
+		b.growErrs()
+	}
+	s.group.Run(b.blocks, width, b)
+	if kind == passFeedback {
+		for _, err := range b.errs[:b.blocks] {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// growErrs sizes the per-block error slots for the current pass. Cold:
+// runs when a pass first forks more blocks than any before it.
+func (b *blockPass) growErrs() { b.errs = make([]error, b.blocks) }
+
+// Do runs block i of the pass.
+//
+//rths:hotpath
+func (b *blockPass) Do(i int) {
+	lo, hi := b.lo+i*b.n/b.blocks, b.lo+(i+1)*b.n/b.blocks
+	switch b.kind {
+	case passFeedback:
+		// Stop at the block's first failure: the lowest failing peer.
+		b.errs[i] = nil
+		for j := lo; j < hi && b.errs[i] == nil; j++ {
+			b.errs[i] = b.s.feedback(j, b.s.peers[j])
+		}
+	case passAddAction:
+		for _, p := range b.s.peers[lo:hi] {
+			p.lrn.AddAction()
+		}
+	case passRemoveAction:
+		for _, p := range b.s.peers[lo:hi] {
+			p.lrn.RemoveAction(b.k)
+		}
+	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"rths/internal/forkjoin"
 	"rths/internal/metrics"
 	"rths/internal/regret"
 	"rths/internal/xrand"
@@ -434,11 +436,13 @@ func newTestRand(seed uint64) *xrand.Rand { return xrand.New(seed) }
 // internal buffers" contract, pinned.
 func TestStepZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		n, h int
+		name   string
+		n, h   int
+		blocks bool // feedback forked in blocks on two lanes
 	}{
-		{"N>=H", 32, 4},
-		{"N<H (partial selection)", 3, 8},
+		{"N>=H", 32, 4, false},
+		{"N<H (partial selection)", 3, 8, false},
+		{"blocks at GOMAXPROCS 2", blockMinWork / 16, 16, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := defaultConfig(tc.n, tc.h, 77)
@@ -446,6 +450,13 @@ func TestStepZeroAllocs(t *testing.T) {
 			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.blocks {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+				s.blocks = forkjoin.Gate{Procs: 2, MinWork: blockMinWork}
+				if w := s.blockWidth(tc.h); w != 2 {
+					t.Fatalf("block gate width %d at %d×%d, want 2", w, tc.n, tc.h)
+				}
 			}
 			// Warm up so learners and buffers reach steady state.
 			if err := s.Run(64, nil); err != nil {

@@ -6,42 +6,49 @@
 //
 // # Node roles
 //
-//   - A channel-manager node per channel (one goroutine each) hosts the
-//     channel's peers: their selection policies, playout buffers, and the
-//     channel's private random stream. Peers are simulated in the manager
-//     because a per-peer goroutine buys no fidelity — the paper's
-//     zero-knowledge property is enforced by the bandit feedback each
-//     policy receives, not by the process boundary — and costs one channel
-//     send per peer per round.
-//   - A helper node per pool helper (one goroutine each) owns the helper's
-//     Markov bandwidth process. Its inbox receives exactly one slice-valued
-//     attach batch per round — the list of local peers its owning channel
-//     attached this round — and it replies with its realized capacity.
-//   - The coordinator (the caller's goroutine, driving StepRound) ticks the
-//     managers, collects one report per channel, and applies queued
-//     membership/migration ops. Helper re-allocation executes as control
-//     messages: the gaining manager builds the helper's fresh bandwidth
-//     process and ships it to the helper node together with the manager's
-//     reply channel — an ownership hand-off, no shared state.
+// Nodes are stepped state machines, not goroutines. Results cannot depend
+// on scheduling, so a goroutine per node would buy nothing that shows in
+// them; the protocol's messages are counted, not sent.
+//
+//   - A channel-manager node per channel hosts the channel's peers: their
+//     selection policies, playout buffers, and the channel's private
+//     random stream. Peers are simulated in the manager because a
+//     per-peer node buys no fidelity — the paper's zero-knowledge property
+//     is enforced by the bandit feedback each policy receives, not by a
+//     process boundary.
+//   - A helper node per pool helper keeps only what survives a change of
+//     owner: its id, the link model and its private link stream. Its
+//     Markov bandwidth process lives in the owning channel's system, which
+//     builds a fresh one when the helper migrates in — exactly as the
+//     shared-memory engine's AddHelper does.
+//   - The coordinator (the caller, driving StepRound) steps the managers
+//     and aggregates their reports. Membership and migration calls queue
+//     ops that each manager applies at the start of the next round in call
+//     order. A helper's owner is whichever pool holds it once a round's
+//     ops have been applied, so an ownership hand-off is a pool edit, and
+//     a helper must sit in exactly one pool after every round's ops.
 //
 // # Round protocol
 //
-// Rounds are synchronous, matching the repeated-game model. For a round:
+// Rounds are synchronous, matching the repeated-game model. For a round,
+// each manager:
 //
-//  1. the coordinator sends each manager a tick carrying the round's
-//     queued ops (joins, departures, helper migrations) — O(channels);
-//  2. each manager applies its ops, runs the selection pass over its
-//     peers, and sends each pool helper one attach batch — O(helpers)
-//     across all managers, each batch a single slice-valued message;
-//  3. each helper node advances its bandwidth chain once, serves the
-//     batch, and replies with its capacity — O(helpers);
-//  4. each manager realizes rates (C_j/load_j via core.FinishStage — the
-//     exact arithmetic of the shared-memory engine), feeds its learners,
-//     ticks playout buffers, and reports the round's channel aggregates to
-//     the coordinator — O(channels).
+//  1. applies its queued ops (joins, departures, helper migrations) — the
+//     coordinator's tick, one message per channel;
+//  2. runs the selection pass over its peers and attaches them to its pool
+//     helpers, one attach batch per pool helper;
+//  3. serves its pool inline, in pool order: each helper node steps its
+//     bandwidth process once, reads its capacity, and replies — one reply
+//     per pool helper;
+//  4. realizes rates (C_j/load_j via core.FinishStage — the exact
+//     arithmetic of the shared-memory engine), feeds its learners, ticks
+//     playout buffers, and reports the channel's aggregates — one report
+//     per channel.
 //
-// Every send targets a buffered channel sized to the protocol's bound, so
-// the system cannot deadlock; all goroutines are joined by Close.
+// A quiet round therefore costs each channel 2 + 2·pool messages, plus
+// one per helper it gains. Channels share no state within a round, so the
+// coordinator steps the managers on the fork-join executor when the host
+// has several cores and the round is big enough, and inline otherwise.
 //
 // # Latency, drops, and faults
 //
@@ -68,9 +75,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"rths/internal/core"
+	"rths/internal/forkjoin"
 	"rths/internal/markov"
 	"rths/internal/streaming"
 	"rths/internal/telemetry"
@@ -130,10 +137,10 @@ type Config struct {
 	// never perturbs the surviving traffic's randomness.
 	Faults *FaultPlan
 	// BatchSizes is an optional size histogram for attach-batch sizes
-	// (peers per batch). Each manager fills a private same-bucket twin on
-	// its own goroutine and the coordinator merges the twins in channel
-	// order once the round's managers are quiescent, so the merged counts
-	// are deterministic. Nil disables the instrument.
+	// (peers per batch). Each manager fills a private same-bucket twin
+	// (managers may step concurrently) and the coordinator merges the
+	// twins in channel order once the round has joined, so the merged
+	// counts are deterministic. Nil disables the instrument.
 	BatchSizes *telemetry.Histogram
 	// Spans, when set, enables round-span profiling: each manager stamps
 	// its processing window (monotonic nanoseconds) on its ChannelRound,
@@ -144,8 +151,8 @@ type Config struct {
 	Spans *telemetry.Recorder
 	// SpanClock overrides the monotonic clock used for span timestamps
 	// (nil = telemetry.MonotonicNow) — the seam tests use to feed
-	// synthetic, deterministic span durations. Called from every manager
-	// goroutine, so it must be safe for concurrent use. Setting
+	// synthetic, deterministic span durations. Managers may step
+	// concurrently, so it must be safe for concurrent use. Setting
 	// SpanClock alone (Spans nil) still enables profiling.
 	SpanClock func() int64
 }
@@ -186,7 +193,8 @@ type ChannelRound struct {
 	// coordinator tick and report, one attach batch and one capacity
 	// reply per pool helper, and one ownership hand-off per helper
 	// gained this round — 2 + 2·pool for a quiet round, so a whole
-	// deployment costs 2H + 2C messages per round plus migrations.
+	// deployment costs 2H + 2C messages per round plus migrations. The
+	// messages are counted, not sent: nodes are stepped inline.
 	Msgs int
 	// Batches counts attach batches sent this round (one per pool
 	// helper — the whole round's peer→helper traffic).
@@ -207,7 +215,9 @@ type ChannelRound struct {
 	PoolIDs []int
 	Missed  []bool
 	// StartNs and EndNs bound the manager's processing window for the
-	// round (monotonic nanoseconds; 0 when profiling is disabled). Like
+	// round (monotonic nanoseconds; 0 when profiling is disabled): from
+	// when a lane starts the manager's ops to when its report is ready.
+	// Time a manager waits for a free lane is outside the window. Like
 	// WallNs they are measurement, never simulation state.
 	StartNs int64
 	EndNs   int64
@@ -233,9 +243,12 @@ type RoundStats struct {
 	Profile *RoundProfile
 }
 
-// RoundProfile attributes one round's wall time to its critical path:
-// the synchronous coordinator waits for every channel, so the slowest
-// channel gates the fleet and everyone else's residual is idle time.
+// RoundProfile attributes one round's wall time to its critical path.
+// The round is synchronous, so in a deployment with one node per manager
+// the slowest channel gates the fleet and every other manager idles at
+// the round's join for the rest of the straggler's span. The profile
+// measures that idle from the managers' own processing windows, which do
+// not depend on how the simulation maps managers onto cores.
 type RoundProfile struct {
 	Round int
 	// Straggler is the channel index with the longest span this round
@@ -248,8 +261,8 @@ type RoundProfile struct {
 	// LeadRatio is (straggler − median) / straggler in [0,1): how far
 	// ahead of the typical channel the critical path ran.
 	LeadRatio float64
-	// IdleNs is Σ over channels of (straggler span − own span): the
-	// fleet time spent waiting at the barrier this round. TotalNs is
+	// IdleNs is Σ over channels of (straggler span − own span): the time
+	// the managers would spend idle at the round's join. TotalNs is
 	// channels × straggler span. IdleNs/TotalNs is the round's barrier
 	// tax.
 	IdleNs  int64
@@ -284,37 +297,6 @@ func profileRound(p *RoundProfile, round int, wall, scratch []int64) {
 	}
 }
 
-type msgKind uint8
-
-const (
-	msgAttach msgKind = iota
-	msgOwner
-	msgStop
-)
-
-// helperMsg is the union message type of a helper node's inbox: one attach
-// batch per round from the owning manager, ownership transfers at
-// migration boundaries, and the shutdown sentinel.
-type helperMsg struct {
-	kind   msgKind
-	round  int
-	peers  []int32 // attach batch: local peer indices, batched per round
-	failed bool    // link verdict: dropped or past the round deadline
-	seq    uint64  // ownership hand-off: the AddHelper call order
-	proc   *markov.Process
-	levels []float64
-	reply  chan<- replyMsg
-}
-
-// replyMsg is a helper node's per-round reply to its owning manager.
-type replyMsg struct {
-	helper   int
-	round    int
-	capacity float64
-	dropped  bool
-	late     bool
-}
-
 type opKind uint8
 
 const (
@@ -328,80 +310,32 @@ const (
 // manager at the start of the next round in enqueue order.
 type op struct {
 	kind   opKind
-	local  int    // RemovePeer / RemoveHelper local index
-	helper int    // global helper id (AddHelper / RemoveHelper)
-	seq    uint64 // AddHelper: runtime-wide call order of the hand-off
+	local  int // RemovePeer / RemoveHelper local index
+	helper int // global helper id (AddHelper / RemoveHelper)
 	spec   core.HelperSpec
 	node   *helperNode
 }
 
-type tickMsg struct {
-	round int
-	ops   []op
-	stop  bool
-}
-
-type reportMsg struct {
-	channel int
-	err     error
-}
-
-// helperNode owns one pool helper's bandwidth process. It serves exactly
-// one attach batch per round from whichever manager currently owns it.
+// helperNode is one helper's node state: only what survives a change of
+// owner. The owning manager serves it inline each round.
 type helperNode struct {
 	id      int
-	inbox   chan helperMsg
-	levels  []float64
-	proc    *markov.Process
-	reply   chan<- replyMsg
-	owner   uint64 // seq of the hand-off held (0: the construction-time owner)
 	link    LinkModel
 	linkRng *xrand.Rand
 }
 
-func (n *helperNode) run() {
-	for {
-		msg := <-n.inbox
-		switch msg.kind {
-		case msgStop:
-			return
-		case msgOwner:
-			// Migration hand-off: fresh process (built from the gaining
-			// channel's stream), fresh reply route. One round can carry two
-			// hand-offs from different managers (a readmission into A and
-			// a migration A→B at the same boundary), and they race to the
-			// inbox; the later AddHelper call is the owner, so an older
-			// hand-off arriving second is ignored.
-			if msg.seq < n.owner {
-				continue
-			}
-			n.owner = msg.seq
-			n.proc, n.levels, n.reply = msg.proc, msg.levels, msg.reply
-		case msgAttach:
-			// The environment moves once per round regardless of load or
-			// link fate.
-			n.proc.Step()
-			capacity := n.levels[n.proc.State()]
-			rep := replyMsg{helper: n.id, round: msg.round, capacity: capacity}
-			if n.link != nil {
-				delay, drop := n.link.Deliver(n.linkRng, msg.round)
-				rep.dropped = drop
-				rep.late = !drop && delay > 0
-			}
-			n.reply <- rep
-		}
-	}
-}
-
-// poolHelper is a manager's handle on one of its pool helpers.
+// poolHelper is a manager's handle on one of its pool helpers: the node,
+// plus the bandwidth process and levels the channel's own system built
+// for it when the helper joined the pool.
 type poolHelper struct {
-	id   int
-	node *helperNode
+	id     int
+	node   *helperNode
+	proc   *markov.Process
+	levels []float64
 }
 
 // manager is one channel-manager node: it hosts the channel's peers
-// (selection policies, buffers) and speaks the batched protocol with its
-// pool helpers and the coordinator.
+// (selection policies, buffers) and serves its pool helpers.
 type manager struct {
 	id      int
 	name    string
@@ -411,10 +345,7 @@ type manager struct {
 	startup float64
 	bufs    []*streaming.Buffer
 	pool    []poolHelper
-
-	tick    chan tickMsg
-	replies chan replyMsg
-	reports chan<- reportMsg
+	ops     []op // queued for the next round, in call order
 	out     *ChannelRound
 
 	link    LinkModel
@@ -423,9 +354,8 @@ type manager struct {
 	faults   *FaultPlan
 	queueing bool
 
-	batch [][]int32 // reusable per-helper attach lists
-	caps  []float64 // per-helper realized capacities
-	ok    []bool    // per-helper link success this round
+	caps []float64 // per-helper realized capacities
+	ok   []bool    // per-helper link success this round
 
 	down     []bool    // per-helper fault-plan verdict this round
 	lateJ    []bool    // per-helper queued-late verdict this round
@@ -442,41 +372,35 @@ type manager struct {
 	// enabled (nil otherwise — spans stay zero).
 	clock func() int64
 
-	err error // sticky: a failed manager keeps the protocol alive but inert
+	err error // sticky: a failed manager reports zeros from then on
 }
 
-func (m *manager) run() {
-	for {
-		t := <-m.tick
-		if t.stop {
-			// Node shutdown is the coordinator's job (Close stops every
-			// helper node directly), so a manager whose ownership
-			// bookkeeping died mid-migration cannot orphan a node.
-			return
-		}
-		// Full reset: a failed channel reports zeros, not its last good
-		// round (struct assignment only rewrites headers — no allocation).
-		*m.out = ChannelRound{Name: m.name}
-		if m.clock != nil {
-			m.out.StartNs = m.clock()
-		}
-		if m.err == nil {
-			m.applyOps(t.ops)
-		}
-		if m.err == nil {
-			m.stepRound(t.round)
-		}
-		if m.clock != nil {
-			m.out.EndNs = m.clock()
-		}
-		m.reports <- reportMsg{channel: m.id, err: m.err}
+// step runs the manager's whole round: its queued ops, then the protocol
+// round. It touches only this channel's state and its pool's nodes, so
+// managers step concurrently on the executor.
+func (m *manager) step(round int) {
+	// Full reset: a failed channel reports zeros, not its last good
+	// round (struct assignment only rewrites headers — no allocation).
+	*m.out = ChannelRound{Name: m.name}
+	if m.clock != nil {
+		m.out.StartNs = m.clock()
+	}
+	if m.err == nil {
+		m.applyOps()
+	}
+	m.ops = m.ops[:0]
+	if m.err == nil {
+		m.stepRound(round)
+	}
+	if m.clock != nil {
+		m.out.EndNs = m.clock()
 	}
 }
 
 // applyOps applies the round's queued membership/migration operations in
 // enqueue order, mirroring the shared-memory engine's call sequence.
-func (m *manager) applyOps(ops []op) {
-	for _, o := range ops {
+func (m *manager) applyOps() {
+	for _, o := range m.ops {
 		switch o.kind {
 		case opAddPeer:
 			var sel core.Selector
@@ -515,22 +439,17 @@ func (m *manager) applyOps(ops []op) {
 				m.err = fmt.Errorf("distsim: channel %q gain helper %d: %w", m.name, o.helper, err)
 				return
 			}
+			// Ownership hand-off: the node joins this pool with the fresh
+			// process this channel's system just built (drawn from its
+			// stream, exactly as the shared-memory engine's AddHelper does).
 			local := m.sys.NumHelpers() - 1
-			// Ownership hand-off: the helper node gets the fresh process
-			// (drawn from this channel's stream, exactly as the
-			// shared-memory engine's AddHelper does) and this manager's
-			// reply route. Channel-send ordering guarantees the node sees
-			// the hand-off before this round's attach batch.
-			o.node.inbox <- helperMsg{
-				kind:   msgOwner,
-				seq:    o.seq,
+			m.out.Msgs++ // ownership hand-off
+			m.pool = append(m.pool, poolHelper{
+				id:     o.helper,
+				node:   o.node,
 				proc:   m.sys.HelperProcess(local),
 				levels: m.sys.HelperLevels(local),
-				reply:  m.replies,
-			}
-			m.out.Msgs++ // ownership hand-off
-			m.pool = append(m.pool, poolHelper{id: o.helper, node: o.node})
-			m.batch = append(m.batch, nil)
+			})
 			m.caps = append(m.caps, 0)
 			m.ok = append(m.ok, false)
 			m.down = append(m.down, false)
@@ -539,10 +458,9 @@ func (m *manager) applyOps(ops []op) {
 			m.missed = append(m.missed, false)
 		case opRemoveHelper:
 			// The global id must corroborate the local index: removing the
-			// wrong pool slot would leave the named node owned by two
-			// managers at once, and the stale owner's round-reply can then
-			// be routed to the new owner — a protocol deadlock, not just a
-			// wrong metric. Fail the channel instead.
+			// wrong pool slot would leave the named node in two pools at
+			// once, served twice a round from one link stream. Fail the
+			// channel instead.
 			if o.local < 0 || o.local >= len(m.pool) || m.pool[o.local].id != o.helper {
 				held := -1
 				if o.local >= 0 && o.local < len(m.pool) {
@@ -556,11 +474,10 @@ func (m *manager) applyOps(ops []op) {
 				m.err = fmt.Errorf("distsim: channel %q lose helper %d: %w", m.name, o.helper, err)
 				return
 			}
-			// The node itself is not contacted: its new owner has already
-			// sent the hand-off (additions precede removals in a migration
-			// batch, so no channel is ever left empty mid-flight).
+			// The node itself is untouched: its new owner's pool already
+			// holds it (additions precede removals in a migration batch,
+			// so no channel is ever left empty mid-flight).
 			m.pool = append(m.pool[:o.local], m.pool[o.local+1:]...)
-			m.batch = m.batch[:len(m.pool)]
 			m.caps = m.caps[:len(m.pool)]
 			m.ok = m.ok[:len(m.pool)]
 			m.down = m.down[:len(m.pool)]
@@ -571,8 +488,8 @@ func (m *manager) applyOps(ops []op) {
 	}
 }
 
-// stepRound runs one protocol round for this channel: select, batch-attach,
-// collect capacities, realize rates and feedback, tick buffers, report.
+// stepRound runs one protocol round for this channel: select, attach,
+// serve the pool, realize rates and feedback, tick buffers.
 //
 //rths:hotpath
 func (m *manager) stepRound(round int) {
@@ -581,22 +498,16 @@ func (m *manager) stepRound(round int) {
 		m.err = m.stageErr(err)
 		return
 	}
-	// One slice-valued attach batch per pool helper — the whole round's
-	// peer->helper traffic in len(pool) messages.
-	for j := range m.batch {
-		m.batch[j] = m.batch[j][:0]
-	}
-	for i, a := range actions {
-		m.batch[a] = append(m.batch[a], int32(i))
-	}
-	for j, ph := range m.pool {
+	for j := range m.pool {
+		ph := &m.pool[j]
 		// The fault plan adjudicates first (it is deterministic), but the
-		// link draw is consumed unconditionally so a run with a plan sees
+		// link draws are consumed unconditionally so a run with a plan sees
 		// the exact random streams of the same run without one.
 		down := m.faults != nil && m.faults.Unreachable(ph.id, m.id, round)
 		m.down[j] = down
 		failed, late := down, false
 		if m.link != nil {
+			// The attach batch, on the manager's stream.
 			delay, drop := m.link.Deliver(m.linkRng, round)
 			if !down {
 				if drop {
@@ -615,43 +526,33 @@ func (m *manager) stepRound(round int) {
 				}
 			}
 		}
+		// The helper node serves every attach, even one that never
+		// reached it: the environment moves once per round regardless of
+		// load or link fate, and the reply's link draw keeps the node's
+		// stream aligned.
+		ph.proc.Step()
+		m.caps[j] = ph.levels[ph.proc.State()]
+		if n := ph.node; n.link != nil {
+			delay, drop := n.link.Deliver(n.linkRng, round)
+			// An unreachable helper's reply never arrives, so its verdict
+			// is moot — the exchange already failed.
+			if !down && drop {
+				m.out.LostMsgs++
+				failed = true
+			} else if !down && delay > 0 {
+				m.out.LateMsgs++
+				if m.queueing {
+					late = true
+				} else {
+					failed = true
+				}
+			}
+		}
 		if down {
 			m.out.FaultMsgs++
 		}
 		m.ok[j] = !failed
 		m.lateJ[j] = late
-		ph.node.inbox <- helperMsg{kind: msgAttach, round: round, peers: m.batch[j], failed: failed}
-	}
-	for range m.pool {
-		rep := <-m.replies
-		local := -1
-		for j, ph := range m.pool {
-			if ph.id == rep.helper {
-				local = j
-				break
-			}
-		}
-		if local < 0 || rep.round != round {
-			m.err = m.replyErr(rep.helper, rep.round, round)
-			return
-		}
-		// An unreachable helper's reply never arrives; its own link draw
-		// was still consumed by the node (stream alignment), but the
-		// verdict is moot — the exchange already failed.
-		if !m.down[local] && (rep.dropped || rep.late) {
-			if rep.dropped {
-				m.out.LostMsgs++
-				m.ok[local] = false
-			} else {
-				m.out.LateMsgs++
-				if m.queueing {
-					m.lateJ[local] = true
-				} else {
-					m.ok[local] = false
-				}
-			}
-		}
-		m.caps[local] = rep.capacity
 	}
 	// Round accounting: the channel's tick and report, plus one attach
 	// and one reply per pool helper (hand-offs were counted as applied).
@@ -716,20 +617,28 @@ func (m *manager) stepRound(round int) {
 	m.out.Missed = m.missed
 }
 
-// stageErr, replyErr and bufferErr build stepRound's failure messages off
-// the hot path so the round body stays free of fmt calls.
+// stageErr and bufferErr build stepRound's failure messages off the hot
+// path so the round body stays free of fmt calls.
 func (m *manager) stageErr(err error) error {
 	return fmt.Errorf("distsim: channel %q: %w", m.name, err)
-}
-
-func (m *manager) replyErr(helper, got, want int) error {
-	return fmt.Errorf("distsim: channel %q got reply from helper %d round %d during round %d",
-		m.name, helper, got, want)
 }
 
 func (m *manager) bufferErr(err error) error {
 	return fmt.Errorf("distsim: channel %q buffer: %w", m.name, err)
 }
+
+// poolMinWork is the round size, in Σ over channels of viewers × actions
+// per viewer, from which the managers step on the fork-join executor. A
+// viewer's select and update are O(actions), so the sum is PERF.md's
+// per-stage learner cost; below it waking a worker costs more than a
+// second core saves. It is the smallest measured shape where two lanes
+// won at least 7 of 8 pairs (PERF.md "The fork-join executor").
+const poolMinWork = 16000
+
+// PoolGate returns the gate a round's channels fork behind: lanes up to
+// GOMAXPROCS once a round reaches poolMinWork. The cluster's
+// shared-memory backend steps its channels behind the same gate.
+func PoolGate() forkjoin.Gate { return forkjoin.NewGate(poolMinWork) }
 
 // Runtime owns the nodes of one distributed deployment. Drive it with
 // StepRound and release it with Close; ops enqueued between rounds are
@@ -737,21 +646,20 @@ func (m *manager) bufferErr(err error) error {
 type Runtime struct {
 	managers []*manager
 	nodes    []*helperNode
-	reports  chan reportMsg
 	stats    RoundStats
-	pending  [][]op
 	round    int
-	// handoffs counts AddHelper calls; each queued hand-off carries its
-	// count so a helper node can tell which of two same-round hand-offs
-	// the coordinator issued last.
-	handoffs uint64
+	// gate and group step the managers on the executor; steps is the
+	// fork's task.
+	gate  forkjoin.Gate
+	group forkjoin.Group
+	steps roundSteps
 	// batchSizes is the merge target for the managers' local size
 	// histograms (Config.BatchSizes; nil when disabled).
 	batchSizes *telemetry.Histogram
 	// spans/profiled drive round-span profiling (Config.Spans/SpanClock).
 	// wallScratch and sortScratch are reusable per-round buffers so the
-	// profile computation allocates nothing in steady state; cumIdleNs
-	// and cumTotalNs accumulate the running barrier tax.
+	// profile computation allocates nothing in steady state; taxSum and
+	// taxRounds accumulate the running barrier tax.
 	spans    *telemetry.Recorder
 	profiled bool
 	// clock is the coordinator's monotonic clock for the per-round
@@ -762,16 +670,22 @@ type Runtime struct {
 	wallScratch []int64
 	sortScratch []int64
 	profile     RoundProfile
-	cumIdleNs   int64
-	cumTotalNs  int64
-	started     bool
+	taxSum      float64
+	taxRounds   int
 	closed      bool
-	wg          sync.WaitGroup
 }
 
+// roundSteps is the executor's task over a round's channels: Do(ci)
+// steps manager ci through the round.
+type roundSteps struct {
+	managers []*manager
+	round    int
+}
+
+func (t *roundSteps) Do(ci int) { t.managers[ci].step(t.round) }
+
 // New validates the config and builds the deployment. Construction is
-// eager (every channel's system is built, so config errors surface here);
-// node goroutines start on the first StepRound.
+// eager: every channel's system is built, so config errors surface here.
 func New(cfg Config) (*Runtime, error) {
 	if len(cfg.Channels) == 0 {
 		return nil, errors.New("distsim: no channels")
@@ -804,9 +718,8 @@ func New(cfg Config) (*Runtime, error) {
 		linkMaster = xrand.New(cfg.LinkSeed)
 	}
 	rt := &Runtime{
-		reports:    make(chan reportMsg, len(cfg.Channels)),
 		nodes:      make([]*helperNode, len(cfg.Helpers)),
-		pending:    make([][]op, len(cfg.Channels)),
+		gate:       PoolGate(),
 		batchSizes: cfg.BatchSizes,
 		spans:      cfg.Spans,
 		profiled:   cfg.Spans != nil || cfg.SpanClock != nil,
@@ -857,13 +770,9 @@ func New(cfg Config) (*Runtime, error) {
 			factory: cfg.Factory,
 			demand:  cc.DemandPerPeer,
 			startup: cc.StartupStages,
-			tick:    make(chan tickMsg, 1),
-			replies: make(chan replyMsg, len(cfg.Helpers)),
-			reports: rt.reports,
 			out:     &rt.stats.Channels[ci],
 			link:    cfg.Link,
 			faults:  cfg.Faults,
-			batch:   make([][]int32, len(pool)),
 			caps:    make([]float64, len(pool)),
 			ok:      make([]bool, len(pool)),
 			down:    make([]bool, len(pool)),
@@ -893,19 +802,18 @@ func New(cfg Config) (*Runtime, error) {
 			m.deferred = make([]float64, cc.InitialPeers)
 		}
 		for local, h := range ids {
-			node := &helperNode{
-				id:     h,
-				inbox:  make(chan helperMsg, 4),
-				levels: sys.HelperLevels(local),
-				proc:   sys.HelperProcess(local),
-				reply:  m.replies,
-				link:   cfg.Link,
-			}
+			node := &helperNode{id: h, link: cfg.Link}
 			rt.nodes[h] = node
-			m.pool = append(m.pool, poolHelper{id: h, node: node})
+			m.pool = append(m.pool, poolHelper{
+				id:     h,
+				node:   node,
+				proc:   sys.HelperProcess(local),
+				levels: sys.HelperLevels(local),
+			})
 		}
 		rt.managers = append(rt.managers, m)
 	}
+	rt.steps.managers = rt.managers
 	if linkMaster != nil {
 		for _, node := range rt.nodes {
 			node.linkRng = linkMaster.Split()
@@ -920,17 +828,18 @@ func (rt *Runtime) NumChannels() int { return len(rt.managers) }
 // Round returns the number of completed rounds.
 func (rt *Runtime) Round() int { return rt.round }
 
-// BarrierTax returns the cumulative fraction of fleet time spent idle
-// at the round barrier since the runtime started: Σ idle / Σ total
-// across profiled rounds. Zero when profiling is disabled or no round
-// has run. This is the number the ROADMAP's asynchronous-rounds item
-// needs: it bounds the throughput gain un-barriering the coordinator
-// could buy.
+// BarrierTax returns the mean over profiled rounds of each round's
+// barrier tax (RoundProfile.IdleNs / TotalNs): the share of a round that
+// one node per manager would spend idle at the round's join. Zero when
+// profiling is disabled or no round has run. The mean weighs every round
+// once, so one round stretched by a preempted manager cannot dominate
+// it. This is the number the ROADMAP's asynchronous-rounds item needs:
+// it bounds the throughput gain un-barriering the coordinator could buy.
 func (rt *Runtime) BarrierTax() float64 {
-	if rt.cumTotalNs == 0 {
+	if rt.taxRounds == 0 {
 		return 0
 	}
-	return float64(rt.cumIdleNs) / float64(rt.cumTotalNs)
+	return rt.taxSum / float64(rt.taxRounds)
 }
 
 // AddPeer queues a viewer join on channel ci, applied at the next round
@@ -940,7 +849,7 @@ func (rt *Runtime) AddPeer(ci int) error {
 	if err := rt.checkChannel(ci); err != nil {
 		return err
 	}
-	rt.pending[ci] = append(rt.pending[ci], op{kind: opAddPeer})
+	rt.managers[ci].ops = append(rt.managers[ci].ops, op{kind: opAddPeer})
 	return nil
 }
 
@@ -951,17 +860,16 @@ func (rt *Runtime) RemovePeer(ci, local int) error {
 	if err := rt.checkChannel(ci); err != nil {
 		return err
 	}
-	rt.pending[ci] = append(rt.pending[ci], op{kind: opRemovePeer, local: local})
+	rt.managers[ci].ops = append(rt.managers[ci].ops, op{kind: opRemovePeer, local: local})
 	return nil
 }
 
 // AddHelper queues a helper migration into channel ci: the gaining manager
 // builds the helper's fresh bandwidth process from its own stream and
-// hands ownership of helper node `id` over by control message. Queue all
-// of a migration's additions before its removals so no channel is ever
-// left empty (the order internal/cluster's migrate pass already uses).
-// When one round queues several additions of the same helper, the last
-// call owns the node.
+// takes helper node `id` into its pool. Queue all of a migration's
+// additions before its removals so no channel is ever left empty (the
+// order internal/cluster's migrate pass already uses), and leave every
+// helper in exactly one pool once the round's ops apply.
 func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
 	if err := rt.checkChannel(ci); err != nil {
 		return err
@@ -969,21 +877,20 @@ func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
 	if id < 0 || id >= len(rt.nodes) {
 		return fmt.Errorf("distsim: AddHelper id %d of %d", id, len(rt.nodes))
 	}
-	rt.handoffs++
-	rt.pending[ci] = append(rt.pending[ci], op{
-		kind: opAddHelper, helper: id, seq: rt.handoffs, spec: spec, node: rt.nodes[id],
+	rt.managers[ci].ops = append(rt.managers[ci].ops, op{
+		kind: opAddHelper, helper: id, spec: spec, node: rt.nodes[id],
 	})
 	return nil
 }
 
 // RemoveHelper queues a helper migration out of channel ci (local pool
-// index, global id for error reporting). The losing manager forgets the
-// node; the gaining manager's AddHelper hand-off re-routes it.
+// index, global id to corroborate it). The losing manager drops the node
+// from its pool; the gaining manager's AddHelper has taken it in.
 func (rt *Runtime) RemoveHelper(ci, local, id int) error {
 	if err := rt.checkChannel(ci); err != nil {
 		return err
 	}
-	rt.pending[ci] = append(rt.pending[ci], op{kind: opRemoveHelper, local: local, helper: id})
+	rt.managers[ci].ops = append(rt.managers[ci].ops, op{kind: opRemoveHelper, local: local, helper: id})
 	return nil
 }
 
@@ -999,49 +906,29 @@ func (rt *Runtime) checkChannel(ci int) error {
 
 // StepRound runs one protocol round across every node and returns the
 // per-channel stats. The returned struct and its slices are reused — read
-// them before the next StepRound (or copy). The first error any node hit
-// is returned; the runtime stays protocol-alive after an error (so Close
-// always works), but failed channels stop simulating.
+// them before the next StepRound (or copy). The error of the lowest
+// failing channel is returned; a failed channel stays failed and reports
+// zeros, while the others keep simulating.
 func (rt *Runtime) StepRound() (*RoundStats, error) {
 	if rt.closed {
 		return nil, errors.New("distsim: runtime closed")
 	}
 	t0 := rt.clock()
-	if !rt.started {
-		rt.started = true
-		for _, m := range rt.managers {
-			rt.wg.Add(1)
-			go func(m *manager) {
-				defer rt.wg.Done()
-				m.run()
-			}(m)
-		}
-		for _, n := range rt.nodes {
-			rt.wg.Add(1)
-			go func(n *helperNode) {
-				defer rt.wg.Done()
-				n.run()
-			}(n)
-		}
+	work := 0
+	for _, m := range rt.managers {
+		work += m.sys.NumPeers() * m.sys.NewPeerActions()
 	}
-	for ci, m := range rt.managers {
-		m.tick <- tickMsg{round: rt.round, ops: rt.pending[ci]}
-	}
+	rt.steps.round = rt.round
+	rt.group.Run(len(rt.managers), rt.gate.Width(len(rt.managers), work), &rt.steps)
+	// The round has joined: aggregate its accounting and merge the
+	// manager-local size histograms in channel order (deterministic
+	// integer counts).
 	var firstErr error
-	for range rt.managers {
-		rep := <-rt.reports
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
-		}
-	}
-	// Managers are quiescent again: reclaim the op queues for reuse,
-	// aggregate the round accounting, and merge the manager-local size
-	// histograms in channel order (deterministic integer counts).
-	for ci := range rt.pending {
-		rt.pending[ci] = rt.pending[ci][:0]
-	}
 	rt.stats.Msgs, rt.stats.Batches = 0, 0
-	for ci := range rt.stats.Channels {
+	for ci, m := range rt.managers {
+		if m.err != nil && firstErr == nil {
+			firstErr = m.err
+		}
 		rt.stats.Msgs += rt.stats.Channels[ci].Msgs
 		rt.stats.Batches += rt.stats.Channels[ci].Batches
 	}
@@ -1065,8 +952,10 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 			})
 		}
 		profileRound(&rt.profile, rt.round, rt.wallScratch, rt.sortScratch)
-		rt.cumIdleNs += rt.profile.IdleNs
-		rt.cumTotalNs += rt.profile.TotalNs
+		if rt.profile.TotalNs > 0 {
+			rt.taxSum += float64(rt.profile.IdleNs) / float64(rt.profile.TotalNs)
+		}
+		rt.taxRounds++
 	}
 	rt.stats.WallNs = rt.clock() - t0
 	rt.stats.Round = rt.round
@@ -1074,24 +963,16 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 	return &rt.stats, firstErr
 }
 
-// Close shuts the deployment down: every manager and every helper node
-// receives the stop sentinel directly from the coordinator — node
-// shutdown never depends on ownership bookkeeping, so a migration that
-// died half-applied cannot orphan a node — and every goroutine is joined.
-// Close is idempotent.
+// SetPoolGate replaces the gate the managers step behind, from the next
+// round on: forkjoin.Gate{Procs: 1} steps them inline, and Procs > 1
+// with MinWork 0 forks them on min(Procs, channels) lanes whatever the
+// round's size. Results never depend on it; parity tests use it to pin
+// both sides of the gate whatever the host.
+func (rt *Runtime) SetPoolGate(g forkjoin.Gate) { rt.gate = g }
+
+// Close shuts the deployment down. Nodes hold no goroutines, so there is
+// nothing to join: later rounds and queued ops fail. Close is idempotent.
 func (rt *Runtime) Close() error {
-	if rt.closed {
-		return nil
-	}
 	rt.closed = true
-	if rt.started {
-		for _, m := range rt.managers {
-			m.tick <- tickMsg{stop: true}
-		}
-		for _, n := range rt.nodes {
-			n.inbox <- helperMsg{kind: msgStop}
-		}
-		rt.wg.Wait()
-	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -497,6 +498,17 @@ func TestNewLossyValidation(t *testing.T) {
 	}
 	if _, err := NewLossy(0, 1.5, 2); err == nil {
 		t.Fatal("delay prob > 1 accepted")
+	}
+	// NaN fails every comparison, so a range check written as "reject
+	// below 0 or above 1" lets it through, and a NaN DropProb never drops.
+	if _, err := NewLossy(math.NaN(), 0, 0); err == nil || !strings.Contains(err.Error(), "DropProb") {
+		t.Fatalf("NaN drop: err = %v, want one naming DropProb", err)
+	}
+	if _, err := NewLossy(0, math.NaN(), 1); err == nil || !strings.Contains(err.Error(), "DelayProb") {
+		t.Fatalf("NaN delay: err = %v, want one naming DelayProb", err)
+	}
+	if _, err := NewLossy(math.Inf(1), 0, 0); err == nil {
+		t.Fatal("+Inf drop accepted")
 	}
 	if _, err := NewLossy(0, 0.5, 0); err == nil {
 		t.Fatal("delay without max accepted")

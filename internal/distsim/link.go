@@ -18,7 +18,7 @@ import (
 //
 // Implementations draw from the *xrand.Rand they are handed: every node
 // gets a private stream split from Config.LinkSeed, so lossy runs are
-// deterministic for a fixed (Config, LinkSeed) despite the concurrency.
+// deterministic for a fixed (Config, LinkSeed) at any fork width.
 type LinkModel interface {
 	Deliver(r *xrand.Rand, round int) (delayRounds int, drop bool)
 }
@@ -40,13 +40,15 @@ type Lossy struct {
 	MaxDelay  int
 }
 
-// NewLossy validates the parameters and returns the model.
+// NewLossy validates the parameters and returns the model. Both
+// probabilities must lie in [0,1]; NaN fails the check, since a NaN
+// probability never drops or delays anything.
 func NewLossy(dropProb, delayProb float64, maxDelay int) (Lossy, error) {
-	if dropProb < 0 || dropProb > 1 {
-		return Lossy{}, fmt.Errorf("distsim: NewLossy DropProb=%g", dropProb)
+	if !(dropProb >= 0 && dropProb <= 1) {
+		return Lossy{}, fmt.Errorf("distsim: NewLossy DropProb=%g outside [0,1]", dropProb)
 	}
-	if delayProb < 0 || delayProb > 1 {
-		return Lossy{}, fmt.Errorf("distsim: NewLossy DelayProb=%g", delayProb)
+	if !(delayProb >= 0 && delayProb <= 1) {
+		return Lossy{}, fmt.Errorf("distsim: NewLossy DelayProb=%g outside [0,1]", delayProb)
 	}
 	if maxDelay < 0 || (delayProb > 0 && maxDelay == 0) {
 		return Lossy{}, fmt.Errorf("distsim: NewLossy MaxDelay=%d with DelayProb=%g", maxDelay, delayProb)

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rths/internal/forkjoin"
 	"rths/internal/telemetry"
 )
 
@@ -43,18 +44,25 @@ func TestProfileRoundTieBreaksLowAndZeroSafe(t *testing.T) {
 
 // Spans flow end to end: managers stamp their windows with the injected
 // clock, the coordinator records one span per channel per round into the
-// ring, and the profile + cumulative barrier tax derive from them.
+// ring, and the profile + cumulative barrier tax derive from them. The
+// managers step inline, in channel order, and the clock's k-th reading is
+// k², so every later window is longer: the spans differ deterministically
+// and the last channel is always the straggler.
 func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 	cfg := fourChannelConfig(11)
 	rec := telemetry.NewRecorder(64)
 	var tick atomic.Int64
 	cfg.Spans = rec
-	cfg.SpanClock = func() int64 { return tick.Add(1) }
+	cfg.SpanClock = func() int64 {
+		k := tick.Add(1)
+		return k * k
+	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.SetPoolGate(forkjoin.Gate{Procs: 1})
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		stats, err := rt.StepRound()
@@ -67,6 +75,9 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 		if s := stats.Profile.Straggler; s < 0 || s >= len(stats.Channels) {
 			t.Fatalf("straggler = %d of %d channels", s, len(stats.Channels))
 		}
+		if s := stats.Profile.Straggler; s != len(stats.Channels)-1 {
+			t.Fatalf("round %d straggler = %d, want the last channel %d", r, s, len(stats.Channels)-1)
+		}
 		if stats.Profile.TotalNs <= 0 {
 			t.Fatal("profile total not positive")
 		}
@@ -74,6 +85,10 @@ func TestRoundSpansRecordedAndProfiled(t *testing.T) {
 			cr := &stats.Channels[ci]
 			if cr.EndNs <= cr.StartNs {
 				t.Fatalf("round %d channel %d span [%d,%d] not increasing", r, ci, cr.StartNs, cr.EndNs)
+			}
+			if prev := &stats.Channels[max(ci-1, 0)]; ci > 0 && cr.EndNs-cr.StartNs <= prev.EndNs-prev.StartNs {
+				t.Fatalf("round %d channel %d span %d not longer than channel %d's %d",
+					r, ci, cr.EndNs-cr.StartNs, ci-1, prev.EndNs-prev.StartNs)
 			}
 		}
 	}

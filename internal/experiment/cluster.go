@@ -269,6 +269,14 @@ func (s ClusterScenario) Build() (cluster.Config, error) {
 	if s.FlashPeers > 0 {
 		cfg.Flash = []cluster.FlashCrowd{{Stage: s.FlashStage, Channel: s.FlashChannel, Peers: s.FlashPeers}}
 	}
+	// Written so NaN fails too: a NaN probability would skip the link
+	// below and run the scenario on perfect links.
+	if !(s.LinkDrop >= 0 && s.LinkDrop <= 1) {
+		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: LinkDrop=%g outside [0,1]", s.LinkDrop)
+	}
+	if !(s.LinkDelay >= 0 && s.LinkDelay <= 1) {
+		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: LinkDelay=%g outside [0,1]", s.LinkDelay)
+	}
 	if s.LinkDrop > 0 || s.LinkDelay > 0 {
 		link, err := distsim.NewLossy(s.LinkDrop, s.LinkDelay, s.LinkMaxDelay)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -119,5 +120,31 @@ func TestPartitionMustCutSomething(t *testing.T) {
 	s.FaultDomains, s.PartitionDomain = 6, 5
 	if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "holds no helper") {
 		t.Fatalf("empty high domain: err = %v", err)
+	}
+}
+
+// A link probability outside [0,1] is rejected naming its field. NaN
+// fails every comparison, so it must not read as "no link" and quietly
+// run the scenario on perfect links.
+func TestLinkProbabilitiesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		drop, delay float64
+		wantErr     string
+	}{
+		{"drop NaN", math.NaN(), 0.05, "LinkDrop"},
+		{"delay NaN", 0.01, math.NaN(), "LinkDelay"},
+		{"both NaN", math.NaN(), math.NaN(), "LinkDrop"},
+		{"drop above 1", 1.5, 0, "LinkDrop"},
+		{"delay negative", 0, -0.1, "LinkDelay"},
+		{"drop +Inf", math.Inf(1), 0, "LinkDrop"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ClusterFaults()
+			s.LinkDrop, s.LinkDelay = tc.drop, tc.delay
+			if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want one naming %s", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -438,8 +438,10 @@ func (l *Learner) recomputeProbs(j int) {
 	cap := l.capQ
 	// Branchless over k==j: row[j]-tjj is exactly 0, so the diagonal falls
 	// through to p=floor; subtract that term back out when fixing p(j).
-	// The min/max builtins compile to MINSD/MAXSD, avoiding data-dependent
-	// branches on the regret sign and the μ-cap.
+	// The min/max builtins avoid data-dependent branches on the regret
+	// sign and the μ-cap: on amd64 each compiles to a branchless sequence
+	// of two MINSD plus POR (max adds PXOR sign flips), which follows Go's
+	// NaN and signed-zero rules, not to a single MINSD/MAXSD.
 	sum := 0.0
 	for k, tv := range row {
 		v := min(max((tv-tjj)*qs, 0), cap)

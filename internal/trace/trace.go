@@ -85,23 +85,26 @@ type ChurnConfig struct {
 	Seed uint64
 }
 
+// validate rejects every out-of-range field. Each float check is written
+// so NaN fails it too: a NaN rate or lifetime would otherwise switch a
+// feature off silently or panic deep inside generation.
 func (c ChurnConfig) validate() error {
 	if c.Horizon <= 0 {
 		return fmt.Errorf("trace: Horizon=%d", c.Horizon)
 	}
-	if c.ArrivalRate < 0 {
-		return fmt.Errorf("trace: ArrivalRate=%g", c.ArrivalRate)
+	if !(c.ArrivalRate >= 0 && c.ArrivalRate <= math.MaxFloat64) {
+		return fmt.Errorf("trace: ArrivalRate=%g must be finite and non-negative", c.ArrivalRate)
 	}
-	if c.MeanLifetime <= 0 {
-		return fmt.Errorf("trace: MeanLifetime=%g", c.MeanLifetime)
+	if !(c.MeanLifetime > 0 && c.MeanLifetime <= math.MaxFloat64) {
+		return fmt.Errorf("trace: MeanLifetime=%g must be finite and positive", c.MeanLifetime)
 	}
 	if c.Channels <= 0 {
 		return fmt.Errorf("trace: Channels=%d", c.Channels)
 	}
-	if c.ZipfS < 0 {
-		return fmt.Errorf("trace: ZipfS=%g", c.ZipfS)
+	if !(c.ZipfS >= 0 && c.ZipfS <= math.MaxFloat64) {
+		return fmt.Errorf("trace: ZipfS=%g must be finite and non-negative", c.ZipfS)
 	}
-	if c.SwitchRate < 0 || c.SwitchRate >= 1 {
+	if !(c.SwitchRate >= 0 && c.SwitchRate < 1) {
 		return fmt.Errorf("trace: SwitchRate=%g outside [0,1)", c.SwitchRate)
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,23 +20,35 @@ func validConfig() ChurnConfig {
 }
 
 func TestConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		name string
-		mut  func(*ChurnConfig)
+		name  string
+		field string // the error must name it
+		mut   func(*ChurnConfig)
 	}{
-		{"horizon", func(c *ChurnConfig) { c.Horizon = 0 }},
-		{"arrival", func(c *ChurnConfig) { c.ArrivalRate = -1 }},
-		{"lifetime", func(c *ChurnConfig) { c.MeanLifetime = 0 }},
-		{"channels", func(c *ChurnConfig) { c.Channels = 0 }},
-		{"zipf", func(c *ChurnConfig) { c.ZipfS = -0.1 }},
-		{"switch", func(c *ChurnConfig) { c.SwitchRate = 1 }},
+		{"horizon", "Horizon", func(c *ChurnConfig) { c.Horizon = 0 }},
+		{"arrival", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = -1 }},
+		{"arrival NaN", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = nan }},
+		{"arrival +Inf", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = inf }},
+		{"lifetime", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = 0 }},
+		{"lifetime NaN", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = nan }},
+		{"lifetime +Inf", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = inf }},
+		{"channels", "Channels", func(c *ChurnConfig) { c.Channels = 0 }},
+		{"zipf", "ZipfS", func(c *ChurnConfig) { c.ZipfS = -0.1 }},
+		{"zipf NaN", "ZipfS", func(c *ChurnConfig) { c.ZipfS = nan }},
+		{"switch", "SwitchRate", func(c *ChurnConfig) { c.SwitchRate = 1 }},
+		{"switch NaN", "SwitchRate", func(c *ChurnConfig) { c.SwitchRate = nan }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := validConfig()
 			tc.mut(&cfg)
-			if _, err := GenerateChurn(cfg); err == nil {
+			_, err := GenerateChurn(cfg)
+			if err == nil {
 				t.Fatal("invalid config accepted")
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
 			}
 		})
 	}
