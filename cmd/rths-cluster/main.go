@@ -84,8 +84,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"strings"
 	"time"
 
 	"rths"
@@ -177,43 +177,20 @@ func run(args []string, out, errOut io.Writer) error {
 		return fmt.Errorf("unknown preset %q (small, scale, churn, views, faults)", *preset)
 	}
 	// Every flag the user set overrides the preset, whatever its value;
-	// unset flags keep the preset's. A value the engine cannot run is
-	// rejected here, naming the flag, rather than silently ignored.
+	// unset flags keep the preset's. The engine checks the ranges, and
+	// its error is prefixed with the flags the user set, so a bad value
+	// (-bitrate NaN) is named rather than silently ignored.
 	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, c := range []struct {
-		flag string
-		ok   bool
-		want string
-	}{
-		{"channels", *channels >= 1, "at least 1"},
-		{"peers", *peers >= 0, "non-negative"},
-		{"helpers", *helpers >= 1, "at least 1"},
-		{"zipf", *zipf >= 0 && *zipf <= math.MaxFloat64, "finite and non-negative"},
-		{"bitrate", *bitrate > 0 && *bitrate <= math.MaxFloat64, "finite and positive"},
-		{"epochs", *epochs >= 1, "at least 1"},
-		{"epoch-stages", *epochStages >= 1, "at least 1"},
-		{"switch-prob", *switchProb >= 0 && *switchProb < 1, "in [0,1)"},
-		{"flash-peers", *flashPeers >= 0, "non-negative"},
-		{"churn-arrival", *churnArrival >= 0 && *churnArrival <= math.MaxFloat64, "finite and non-negative"},
-		{"churn-lifetime", *churnLifetime > 0 && *churnLifetime <= math.MaxFloat64, "finite and positive"},
-		{"churn-switch", *churnSwitch >= 0 && *churnSwitch < 1, "in [0,1)"},
-		{"view-size", *viewSize >= 0, "non-negative"},
-		{"fault-domains", *faultDomains >= 0, "non-negative"},
-		{"fault-partition-domain", *faultPartDomain >= 0, "non-negative"},
-		{"fault-partition-from", *faultPartFrom >= 0, "non-negative"},
-		{"fault-partition-until", *faultPartUntil >= 0, "non-negative"},
-		{"fault-crash-helper", *faultCrashHelper >= 0, "non-negative"},
-		{"fault-crash-from", *faultCrashFrom >= 0, "non-negative"},
-		{"fault-crash-until", *faultCrashUntil >= 0, "non-negative"},
-		{"fault-drop", *faultDrop >= 0 && *faultDrop <= 1, "in [0,1]"},
-		{"fault-delay", *faultDelay >= 0 && *faultDelay <= 1, "in [0,1]"},
-		{"detector-suspect", *detectorSuspect >= 0, "non-negative"},
-		{"detector-readmit", *detectorReadmit >= 0, "non-negative"},
-	} {
-		if set[c.flag] && !c.ok {
-			return fmt.Errorf("-%s %s: must be %s", c.flag, fs.Lookup(c.flag).Value, c.want)
+	var given []string
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		given = append(given, "-"+f.Name+" "+f.Value.String())
+	})
+	flagged := func(err error) error {
+		if len(given) == 0 {
+			return err
 		}
+		return fmt.Errorf("%s: %w", strings.Join(given, " "), err)
 	}
 	override := func(flag string, apply func()) {
 		if set[flag] {
@@ -232,7 +209,7 @@ func run(args []string, out, errOut io.Writer) error {
 	override("churn-arrival", func() { sc.ChurnArrivalRate = *churnArrival })
 	override("churn-lifetime", func() { sc.ChurnMeanLifetime = *churnLifetime })
 	override("churn-switch", func() { sc.ChurnSwitchRate = *churnSwitch })
-	if sc.ChurnArrivalRate > 0 && sc.ChurnMeanLifetime <= 0 {
+	if sc.ChurnArrivalRate > 0 && sc.ChurnMeanLifetime <= 0 && !set["churn-lifetime"] {
 		sc.ChurnMeanLifetime = 60
 	}
 	override("view-size", func() { sc.ViewSize = *viewSize })
@@ -267,7 +244,7 @@ func run(args []string, out, errOut io.Writer) error {
 
 	cfg, err := sc.Build()
 	if err != nil {
-		return err
+		return flagged(err)
 	}
 	var srv *rths.TelemetryServer
 	if *metricsAddr != "" {
@@ -306,7 +283,7 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	c, err := rths.NewCluster(cfg)
 	if err != nil {
-		return err
+		return flagged(err)
 	}
 	defer c.Close()
 	enc := json.NewEncoder(epochOut)
@@ -330,7 +307,7 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	mode := "epochs"
 	if w, err := sc.Workload(); err != nil {
-		return err
+		return flagged(err)
 	} else if w != nil {
 		// Trace-replay churn: the workload's joins/leaves/switches are
 		// applied stage by stage, composing with the scenario's resident
@@ -340,7 +317,7 @@ func run(args []string, out, errOut io.Writer) error {
 			return err
 		}
 	} else if err := c.Run(sc.Epochs, observe); err != nil {
-		return err
+		return flagged(err)
 	}
 	if encErr != nil {
 		return encErr

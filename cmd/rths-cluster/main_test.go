@@ -156,6 +156,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-churn-arrival", "NaN"}, "-churn-arrival NaN"},
 		{[]string{"-epoch-stages", "-1"}, "-epoch-stages -1"},
 		{[]string{"-channels", "0"}, "-channels 0"},
+		{[]string{"-helpers", "-1"}, "-helpers -1"},
+		{[]string{"-epochs", "-1"}, "-epochs -1"},
+		{[]string{"-flash-peers", "-1"}, "-flash-peers -1"},
+		{[]string{"-detector-suspect", "-1"}, "-detector-suspect -1"},
+		{[]string{"-churn-arrival", "-1"}, "-churn-arrival -1"},
+		{[]string{"-churn-arrival", "2", "-churn-lifetime", "0"}, "MeanLifetime=0"},
 	} {
 		var out, errOut bytes.Buffer
 		err := run(tc.args, &out, &errOut)

@@ -788,6 +788,9 @@ func (c *Cluster) repairMinOne(a alloc.Assignment) {
 // Run advances the cluster `epochs` epochs, invoking observe (if non-nil)
 // after each boundary.
 func (c *Cluster) Run(epochs int, observe func(EpochMetrics)) error {
+	if epochs < 0 {
+		return fmt.Errorf("cluster: Run with %d epochs", epochs)
+	}
 	for e := 0; e < epochs; e++ {
 		m, err := c.RunEpoch()
 		if err != nil {

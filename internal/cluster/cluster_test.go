@@ -609,4 +609,13 @@ func TestZipfChannels(t *testing.T) {
 	if _, err := ZipfChannels(3, 10, 1, 0); err == nil {
 		t.Fatal("zero bitrate accepted")
 	}
+	// NaN fails every comparison, so it must not slip past a <= 0 check.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := ZipfChannels(3, 10, 1, bad); err == nil {
+			t.Fatalf("bitrate %g accepted", bad)
+		}
+		if _, err := ZipfChannels(3, 10, bad, 400); err == nil {
+			t.Fatalf("zipf exponent %g accepted", bad)
+		}
+	}
 }

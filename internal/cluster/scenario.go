@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"rths/internal/alloc"
 	"rths/internal/core"
@@ -21,8 +22,8 @@ func ZipfChannels(channels, totalPeers int, zipfS, bitrate float64) ([]ChannelSp
 	if totalPeers < 0 {
 		return nil, fmt.Errorf("cluster: ZipfChannels with %d peers", totalPeers)
 	}
-	if bitrate <= 0 {
-		return nil, fmt.Errorf("cluster: ZipfChannels bitrate %g", bitrate)
+	if !(bitrate > 0 && bitrate <= math.MaxFloat64) { // NaN fails too
+		return nil, fmt.Errorf("cluster: ZipfChannels bitrate %g must be finite and positive", bitrate)
 	}
 	shares, err := trace.ChannelDemand(channels, zipfS)
 	if err != nil {

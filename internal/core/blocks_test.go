@@ -163,3 +163,39 @@ func TestBlockPassesBitIdentical(t *testing.T) {
 	seqRef := runBlockLeg(t, off, wrapped)
 	seqRef.check(t, "foreign policy, blocks forced", runBlockLeg(t, forkjoin.Gate{Procs: 4}, wrapped))
 }
+
+// A channel can lose its whole audience and still gain and lose helpers.
+// Full-view churn then has no learner to edit, and a viewer who joins
+// afterwards sees the current pool.
+func TestHelperChurnWithoutPeers(t *testing.T) {
+	s, err := New(defaultConfig(3, 4, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	for s.NumPeers() > 0 {
+		if err := s.RemovePeer(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, churn := range []func() error{
+		func() error { return s.AddHelper(DefaultHelperSpec()) },
+		func() error { return s.AddHelper(DefaultHelperSpec()) },
+		func() error { return s.RemoveHelper(0) },
+	} {
+		if err := churn(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AddPeer(nil, 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Selector(0).(*regret.Learner).NumActions(); got != 5 {
+		t.Fatalf("joined peer has %d actions, want 5", got)
+	}
+}

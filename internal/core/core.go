@@ -222,6 +222,24 @@ func (p *peer) feedback(action int, utility float64) error {
 	return p.sel.Update(action, utility)
 }
 
+// addAction and removeAction grow and shrink the peer's action set; the
+// caller has checked that sel is a DynamicSelector.
+func (p *peer) addAction() {
+	if p.lrn != nil {
+		p.lrn.AddAction()
+		return
+	}
+	p.sel.(DynamicSelector).AddAction()
+}
+
+func (p *peer) removeAction(k int) {
+	if p.lrn != nil {
+		p.lrn.RemoveAction(k)
+		return
+	}
+	p.sel.(DynamicSelector).RemoveAction(k)
+}
+
 // System is a running helper-selection simulation.
 type System struct {
 	rng     *xrand.Rand
@@ -1137,15 +1155,14 @@ func (s *System) AddHelper(spec HelperSpec) error {
 		s.viewMark = append(s.viewMark, false)
 		s.viewIdx = append(s.viewIdx, 0)
 	}
-	newID := len(s.helpers) - 1
-	if w := s.blockWidth(len(s.helpers)); s.viewMaster == nil && w > 1 {
+	if s.viewMaster != nil {
+		s.addActions(len(s.helpers) - 1)
+	} else if len(s.peers) > 0 {
 		// Full-view learners all share m, so the first one's AddAction
 		// regrows the arena, if it must, before the fork: no block ever
 		// regrows it under another block's learners.
-		s.peers[0].lrn.AddAction()
-		s.runBlocks(passAddAction, 0, 1, w)
-	} else {
-		s.addActions(newID)
+		s.peers[0].addAction()
+		s.runBlocks(passAddAction, 0, 1, s.blockWidth(len(s.helpers)))
 	}
 	if engaging {
 		s.engageViews()
@@ -1153,15 +1170,10 @@ func (s *System) AddHelper(spec HelperSpec) error {
 	return nil
 }
 
-// addActions is AddHelper's sequential per-peer pass: full-view peers
-// grow their action set, and partial-view peers with room in their view
-// adopt helper newID.
+// addActions is AddHelper's partial-view pass, run in peer order: peers
+// with room in their view adopt helper newID.
 func (s *System) addActions(newID int) {
 	for _, p := range s.peers {
-		if p.view == nil {
-			p.sel.(DynamicSelector).AddAction()
-			continue
-		}
 		if p.view.Len() < s.viewSize {
 			if dyn, ok := p.sel.(DynamicSelector); ok {
 				dyn.AddAction()
@@ -1262,16 +1274,9 @@ func (s *System) RemoveHelper(j int) error {
 	if s.viewMaster != nil {
 		s.viewMark = s.viewMark[:len(s.helpers)]
 		s.viewIdx = s.viewIdx[:len(s.helpers)]
-	}
-	if w := s.blockWidth(len(s.helpers) + 1); s.viewMaster == nil && w > 1 {
-		s.runBlocks(passRemoveAction, j, 0, w)
 		return nil
 	}
-	for _, p := range s.peers {
-		if p.view == nil {
-			p.sel.(DynamicSelector).RemoveAction(j)
-		}
-	}
+	s.runBlocks(passRemoveAction, j, 0, s.blockWidth(len(s.helpers)+1))
 	return nil
 }
 
@@ -1319,8 +1324,9 @@ func (s *System) blockWidth(actions int) int {
 }
 
 // runBlocks forks a per-learner pass over peers [lo, NumPeers) in
-// blocksPerLane blocks per lane and joins it. A feedback pass returns
-// the failure of the lowest failing peer.
+// blocksPerLane blocks per lane and joins it; at width 1 the blocks run
+// inline, in peer order. A feedback pass returns the failure of the
+// lowest failing peer.
 //
 //rths:hotpath
 func (s *System) runBlocks(kind passKind, k, lo, width int) error {
@@ -1359,11 +1365,11 @@ func (b *blockPass) Do(i int) {
 		}
 	case passAddAction:
 		for _, p := range b.s.peers[lo:hi] {
-			p.lrn.AddAction()
+			p.addAction()
 		}
 	case passRemoveAction:
 		for _, p := range b.s.peers[lo:hi] {
-			p.lrn.RemoveAction(b.k)
+			p.removeAction(b.k)
 		}
 	}
 }

@@ -208,7 +208,7 @@ func (s ClusterScenario) Horizon() int { return s.EpochStages * s.Epochs }
 // horizon, with peer ids offset by ChurnIDBase. It returns nil when
 // ChurnArrivalRate is zero (no replay workload configured).
 func (s ClusterScenario) Workload() (*trace.Workload, error) {
-	if s.ChurnArrivalRate <= 0 {
+	if s.ChurnArrivalRate == 0 {
 		return nil, nil
 	}
 	w, err := trace.GenerateChurn(trace.ChurnConfig{
@@ -229,6 +229,9 @@ func (s ClusterScenario) Workload() (*trace.Workload, error) {
 
 // Build assembles the cluster config for the scenario.
 func (s ClusterScenario) Build() (cluster.Config, error) {
+	if s.Helpers < 0 {
+		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: Helpers=%d", s.Helpers)
+	}
 	if s.PartitionUntil > s.PartitionFrom {
 		// Helpers stripe as h mod FaultDomains (channel managers sit in
 		// domain 0), so a partition cuts something only when there are
@@ -263,30 +266,24 @@ func (s ClusterScenario) Build() (cluster.Config, error) {
 		ViewSize:    s.ViewSize,
 		ViewRefresh: s.ViewRefresh,
 	}
-	if s.SwitchProb > 0 {
+	// Zero turns a feature off. Any other value, NaN and negatives too,
+	// turns it on and reaches the engine's own range check.
+	if s.SwitchProb != 0 {
 		cfg.Switching = &cluster.SwitchingConfig{SwitchProb: s.SwitchProb, ZipfS: s.ZipfS}
 	}
-	if s.FlashPeers > 0 {
+	if s.FlashPeers != 0 {
 		cfg.Flash = []cluster.FlashCrowd{{Stage: s.FlashStage, Channel: s.FlashChannel, Peers: s.FlashPeers}}
 	}
-	// Written so NaN fails too: a NaN probability would skip the link
-	// below and run the scenario on perfect links.
-	if !(s.LinkDrop >= 0 && s.LinkDrop <= 1) {
-		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: LinkDrop=%g outside [0,1]", s.LinkDrop)
-	}
-	if !(s.LinkDelay >= 0 && s.LinkDelay <= 1) {
-		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: LinkDelay=%g outside [0,1]", s.LinkDelay)
-	}
-	if s.LinkDrop > 0 || s.LinkDelay > 0 {
+	if s.LinkDrop != 0 || s.LinkDelay != 0 {
 		link, err := distsim.NewLossy(s.LinkDrop, s.LinkDelay, s.LinkMaxDelay)
 		if err != nil {
-			return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: %w", err)
+			return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: LinkDrop=%g, LinkDelay=%g: %w", s.LinkDrop, s.LinkDelay, err)
 		}
 		cfg.Link = link
 		cfg.LinkSeed = s.LinkSeed
 	}
 	cfg.Faults = s.faultPlan()
-	if s.DetectorSuspect > 0 {
+	if s.DetectorSuspect != 0 {
 		cfg.Detector = &cluster.DetectorConfig{SuspectAfter: s.DetectorSuspect, ReadmitAfter: s.DetectorReadmit}
 	}
 	return cfg, nil

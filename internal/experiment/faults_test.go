@@ -148,3 +148,37 @@ func TestLinkProbabilitiesValidated(t *testing.T) {
 		})
 	}
 }
+
+// Zero turns a scenario feature off; any other value turns it on and
+// meets the engine's range check, so a NaN or negative value fails
+// instead of quietly disabling the feature.
+func TestScenarioFeatureValuesValidated(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		edit    func(*ClusterScenario)
+		wantErr string
+	}{
+		{"switch NaN", func(s *ClusterScenario) { s.SwitchProb = math.NaN() }, "switchProb=NaN"},
+		{"switch negative", func(s *ClusterScenario) { s.SwitchProb = -0.1 }, "switchProb=-0.1"},
+		{"flash negative", func(s *ClusterScenario) { s.FlashPeers = -1 }, "flash crowd"},
+		{"detector negative", func(s *ClusterScenario) { s.DetectorSuspect = -1 }, "SuspectAfter=-1"},
+		{"helpers negative", func(s *ClusterScenario) { s.Helpers = -1 }, "Helpers=-1"},
+		{"bitrate NaN", func(s *ClusterScenario) { s.Bitrate = math.NaN() }, "bitrate NaN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := ClusterSmall()
+			tc.edit(&s)
+			_, err := s.New()
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+	s := ClusterChurn()
+	for _, rate := range []float64{math.NaN(), -1} {
+		s.ChurnArrivalRate = rate
+		if _, err := s.Workload(); err == nil || !strings.Contains(err.Error(), "ArrivalRate") {
+			t.Fatalf("ChurnArrivalRate %g: err = %v, want one naming ArrivalRate", rate, err)
+		}
+	}
+}

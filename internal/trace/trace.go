@@ -225,8 +225,8 @@ func ChannelDemand(channels int, zipfS float64) ([]float64, error) {
 	if channels <= 0 {
 		return nil, fmt.Errorf("trace: channels=%d", channels)
 	}
-	if zipfS < 0 {
-		return nil, fmt.Errorf("trace: zipfS=%g", zipfS)
+	if !(zipfS >= 0 && zipfS <= math.MaxFloat64) { // NaN fails too
+		return nil, fmt.Errorf("trace: zipfS=%g must be finite and non-negative", zipfS)
 	}
 	out := make([]float64, channels)
 	total := 0.0

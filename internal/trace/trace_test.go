@@ -226,6 +226,9 @@ func TestChannelDemand(t *testing.T) {
 	if _, err := ChannelDemand(3, -1); err == nil {
 		t.Fatal("negative skew accepted")
 	}
+	if _, err := ChannelDemand(3, math.NaN()); err == nil {
+		t.Fatal("NaN skew accepted")
+	}
 	uniform, err := ChannelDemand(3, 0)
 	if err != nil {
 		t.Fatal(err)
