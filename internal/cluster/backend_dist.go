@@ -3,7 +3,6 @@ package cluster
 import (
 	"rths/internal/core"
 	"rths/internal/distsim"
-	"rths/internal/telemetry"
 )
 
 // distBackend executes the channels on the batched message-passing runtime:
@@ -19,7 +18,7 @@ type distBackend struct {
 	last *distsim.RoundStats // most recent round view (reused by the runtime)
 }
 
-func newDistBackend(cfg Config, assign []int, seeds []uint64, scale, startup float64, batchSizes *telemetry.Histogram, spans *telemetry.Recorder) (*distBackend, error) {
+func newDistBackend(c *Cluster, cfg Config, seeds []uint64) (backend, error) {
 	channels := make([]distsim.ChannelConfig, len(cfg.Channels))
 	for ci, spec := range cfg.Channels {
 		channels[ci] = distsim.ChannelConfig{
@@ -27,22 +26,22 @@ func newDistBackend(cfg Config, assign []int, seeds []uint64, scale, startup flo
 			Seed:          seeds[ci],
 			InitialPeers:  spec.InitialPeers,
 			DemandPerPeer: spec.Bitrate,
-			StartupStages: startup,
+			StartupStages: c.startup,
 		}
 	}
 	rt, err := distsim.New(distsim.Config{
 		Channels:     channels,
 		Helpers:      cfg.Helpers,
-		Assign:       append([]int(nil), assign...),
+		Assign:       append([]int(nil), c.assign...),
 		Factory:      cfg.Factory,
-		UtilityScale: scale,
+		UtilityScale: c.scale,
 		ViewSize:     cfg.ViewSize,
 		ViewRefresh:  cfg.ViewRefresh,
 		Link:         cfg.Link,
 		LinkSeed:     cfg.LinkSeed,
 		Faults:       cfg.Faults,
-		BatchSizes:   batchSizes,
-		Spans:        spans,
+		BatchSizes:   c.tel.batchSizes,
+		Spans:        c.spans,
 	})
 	if err != nil {
 		return nil, err

@@ -40,7 +40,8 @@ type memBackend struct {
 	out   []stageData // the stage being stepped (valid during step only)
 }
 
-func newMemBackend(cfg Config, assign []int, seeds []uint64, scale, startup float64) (*memBackend, error) {
+func newMemBackend(c *Cluster, cfg Config, seeds []uint64) (backend, error) {
+	assign, scale, startup := c.assign, c.scale, c.startup
 	b := &memBackend{
 		factory: cfg.Factory,
 		scale:   scale,

@@ -41,38 +41,23 @@ func fourChannelConfig(seed uint64, link distsim.LinkModel) Config {
 	}
 }
 
-// TestDistsimBackendBitIdentical is the tentpole's acceptance criterion:
-// the batched message-passing runtime must reproduce the shared-memory
-// cluster's per-epoch metrics bit-identically at zero link latency/drop —
-// welfare ratio, deficits, continuity, helper moves, the lot — across a
-// 4-channel scenario with switching, a flash crowd, and re-allocation
-// epochs.
+// TestDistsimBackendBitIdentical is the runtime's acceptance criterion
+// against the naive reference executor: at zero link latency and drop,
+// distsim must reproduce the reference's every stage, epoch record and
+// learner strategy — welfare ratio, deficits, continuity, helper moves,
+// the lot — across a 4-channel scenario with switching, a flash crowd,
+// and re-allocation epochs.
 func TestDistsimBackendBitIdentical(t *testing.T) {
-	run := func(link distsim.LinkModel) []EpochMetrics {
-		c, err := New(fourChannelConfig(101, link))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var out []EpochMetrics
-		if err := c.Run(4, func(m EpochMetrics) { out = append(out, m) }); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	mem := run(nil)
+	dist := crossCheck(t, fourChannelConfig(101, nil), runFor(4))
 	moved, switched := 0, 0
-	for _, m := range mem {
+	for _, m := range dist {
 		moved += m.Moves
 		switched += m.Switches
 	}
 	if moved == 0 || switched == 0 {
 		t.Fatalf("scenario inert (moves=%d switches=%d); parity test does not cover migration", moved, switched)
 	}
-	dist := run(distsim.Lossy{})
-	if len(dist) != len(mem) {
-		t.Fatalf("epoch counts differ: %d vs %d", len(dist), len(mem))
-	}
+	mem := runEpochs(t, fourChannelConfig(101, nil), 4)
 	for e := range mem {
 		if dist[e] != mem[e] {
 			t.Fatalf("epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], mem[e])
@@ -80,26 +65,15 @@ func TestDistsimBackendBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBackendsAgreeAcrossAllocators extends the parity check to every
+// TestBackendsAgreeAcrossAllocators extends the cross-check to every
 // allocator kind — the proportional path exercises repairMinOne and the
 // static path the no-migration boundary.
 func TestBackendsAgreeAcrossAllocators(t *testing.T) {
 	for _, kind := range []AllocatorKind{AllocGreedy, AllocProportional, AllocStatic} {
-		run := func(link distsim.LinkModel) []EpochMetrics {
-			cfg := fourChannelConfig(7, link)
-			cfg.Allocator = kind
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			var out []EpochMetrics
-			if err := c.Run(3, func(m EpochMetrics) { out = append(out, m) }); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		mem, dist := run(nil), run(distsim.Lossy{})
+		cfg := fourChannelConfig(7, nil)
+		cfg.Allocator = kind
+		dist := crossCheck(t, cfg, runFor(3))
+		mem := runEpochs(t, cfg, 3)
 		for e := range mem {
 			if dist[e] != mem[e] {
 				t.Fatalf("allocator %v epoch %d diverges:\n distsim %+v\n memory  %+v", kind, e, dist[e], mem[e])

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -493,27 +494,16 @@ func TestReplayFlushesPartialEpoch(t *testing.T) {
 
 // TestReplayBitIdenticalAcrossWorkersAndBackends is the acceptance
 // criterion: replaying one workload over the full scenario dynamics
-// (Markov switching, a flash crowd, re-allocation epochs) must produce
-// bit-identical per-epoch metrics on the shared-memory backend inline and
-// with channels forked, AND on the distsim backend at zero link loss,
-// its managers inline and forked.
+// (Markov switching, a flash crowd, re-allocation epochs) on distsim at
+// zero link loss must reproduce the reference executor stage by stage,
+// and its per-epoch metrics must be bit-identical with the managers
+// inline and forked.
 func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	const horizon = 80 // 4 epochs at EpochStages=20
-	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
-		c, err := New(fourChannelConfig(61, link))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		forcePool(t, c, procs)
-		w := churnWorkload(t, horizon, 17)
-		var out []EpochMetrics
-		if err := c.Replay(w, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	replay := func(c *Cluster, observe func(EpochMetrics)) error {
+		return c.Replay(churnWorkload(t, horizon, 17), horizon, observe)
 	}
-	ref := run(nil, 1)
+	ref := crossCheck(t, fourChannelConfig(61, nil), replay)
 	var joins, leaves, switches, moves int
 	for _, m := range ref {
 		joins += m.Joins
@@ -525,34 +515,59 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		t.Fatalf("replay scenario inert (joins=%d leaves=%d switches=%d moves=%d); parity not exercised",
 			joins, leaves, switches, moves)
 	}
-	pooled := run(nil, 4)
-	if len(pooled) != len(ref) {
-		t.Fatalf("pool epochs %d vs %d", len(pooled), len(ref))
-	}
-	for e := range ref {
-		if pooled[e] != ref[e] {
-			t.Fatalf("pool epoch %d diverges:\n pool   %+v\n inline %+v", e, pooled[e], ref[e])
+	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
+		c, err := New(fourChannelConfig(61, link))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, procs := range []int{1, 4} {
-		dist := run(distsim.Lossy{}, procs)
-		if len(dist) != len(ref) {
-			t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
+		defer c.Close()
+		forcePool(t, c, procs)
+		var out []EpochMetrics
+		if err := replay(c, func(m EpochMetrics) { out = append(out, m) }); err != nil {
+			t.Fatal(err)
 		}
-		for e := range ref {
-			if dist[e] != ref[e] {
-				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n distsim %+v\n memory  %+v", procs, e, dist[e], ref[e])
+		return out
+	}
+	for _, link := range links {
+		for _, procs := range []int{1, 4} {
+			got := run(link, procs)
+			if len(got) != len(ref) {
+				t.Fatalf("backend=%s workers=%d: epochs %d vs %d", backendName(link), procs, len(got), len(ref))
+			}
+			for e := range ref {
+				if got[e] != ref[e] {
+					t.Fatalf("backend=%s workers=%d epoch %d diverges:\n got  %+v\n want %+v", backendName(link), procs, e, got[e], ref[e])
+				}
 			}
 		}
 	}
 }
 
 // TestChannelStageResultBackendsAgree pins the distsim backend's
-// ChannelRound→core.StageResult field mapping to the shared-memory
-// backend: the per-peer stage views (actions, rates, loads, capacities,
-// aggregates, stage number) must be bit-identical at zero link loss, under
-// churn applied between stages.
+// ChannelRound→core.StageResult field mapping: under churn applied between
+// stages, the per-peer stage views (actions, rates, loads, capacities,
+// aggregates, stage number) must match the reference executor's at zero
+// link loss, one rate per viewer.
 func TestChannelStageResultBackendsAgree(t *testing.T) {
+	perStage := churnWorkload(t, 12, 23).PerStage(12)
+	crossCheck(t, fourChannelConfig(71, nil), func(c *Cluster, _ func(EpochMetrics)) error {
+		for s := 0; s < 12; s++ {
+			for _, e := range perStage[s] {
+				if err := c.Apply(e); err != nil {
+					return fmt.Errorf("stage %d: %w", s, err)
+				}
+			}
+			if _, err := c.StepStage(); err != nil {
+				return err
+			}
+			for ci := 0; ci < c.NumChannels(); ci++ {
+				if got, want := len(c.ChannelStageResult(ci).Rates), c.ChannelAudience(ci); got != want {
+					return fmt.Errorf("stage %d channel %d: %d rates for audience %d", s, ci, got, want)
+				}
+			}
+		}
+		return nil
+	})
 	build := func(link distsim.LinkModel) *Cluster {
 		c, err := New(fourChannelConfig(71, link))
 		if err != nil {
@@ -563,8 +578,6 @@ func TestChannelStageResultBackendsAgree(t *testing.T) {
 	mem, dist := build(nil), build(distsim.Lossy{})
 	defer mem.Close()
 	defer dist.Close()
-	w := churnWorkload(t, 12, 23)
-	perStage := w.PerStage(12)
 	for s := 0; s < 12; s++ {
 		for _, c := range []*Cluster{mem, dist} {
 			for _, e := range perStage[s] {
@@ -582,10 +595,6 @@ func TestChannelStageResultBackendsAgree(t *testing.T) {
 			if !reflect.DeepEqual(mr, dr) {
 				t.Fatalf("stage %d channel %d stage views diverge:\n memory  %+v\n distsim %+v",
 					s, ci, mr, dr)
-			}
-			if len(mr.Rates) != mem.ChannelAudience(ci) {
-				t.Fatalf("stage %d channel %d: %d rates for audience %d",
-					s, ci, len(mr.Rates), mem.ChannelAudience(ci))
 			}
 		}
 	}

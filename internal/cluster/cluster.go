@@ -459,6 +459,19 @@ type Cluster struct {
 
 // New builds a cluster from the config.
 func New(cfg Config) (*Cluster, error) {
+	if cfg.Link != nil || cfg.Faults != nil || cfg.Detector != nil {
+		return newCluster(cfg, newDistBackend)
+	}
+	return newCluster(cfg, newMemBackend)
+}
+
+// newBackend builds a cluster's execution backend once newCluster has
+// derived the initial assignment, the channel seeds, the shared utility
+// scale and the instruments. Tests pass a reference executor here.
+type newBackend func(c *Cluster, cfg Config, seeds []uint64) (backend, error)
+
+// newCluster is New with the execution backend built by build.
+func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 	if len(cfg.Channels) == 0 {
 		return nil, errors.New("cluster: no channels")
 	}
@@ -612,12 +625,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	if dist {
-		c.backend, err = newDistBackend(cfg, c.assign, seeds, scale, c.startup, c.tel.batchSizes, c.spans)
-	} else {
-		c.backend, err = newMemBackend(cfg, c.assign, seeds, scale, c.startup)
-	}
-	if err != nil {
+	if c.backend, err = build(c, cfg, seeds); err != nil {
 		return nil, err
 	}
 

@@ -13,3 +13,6 @@ func PoolWorkers(c *Cluster, procs int) int {
 	}
 	return 0
 }
+
+// CrossCheck is crossCheck for the external tests.
+var CrossCheck = crossCheck

@@ -113,32 +113,21 @@ func TestFaultRunReproducible(t *testing.T) {
 
 // TestEmptyFaultPlanMatchesMemory pins that an empty fault plan is
 // semantically free: a distsim run carrying &FaultPlan{} (no crashes, no
-// partitions, no queueing, clean links) reproduces the memory backend's
-// per-epoch metrics bit-identically, fault counters all zero. The plan
-// alone is what builds the distsim backend.
+// partitions, no queueing, clean links) reproduces the per-epoch metrics
+// of the run without a plan — which the in-memory reference executor
+// cross-checks — bit-identically, fault counters all zero.
 func TestEmptyFaultPlanMatchesMemory(t *testing.T) {
-	run := func(plan *distsim.FaultPlan) []EpochMetrics {
-		cfg := fourChannelConfig(101, nil)
-		cfg.Faults = plan
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var out []EpochMetrics
-		if err := c.Run(4, func(m EpochMetrics) { out = append(out, m) }); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	base := crossCheck(t, fourChannelConfig(101, nil), runFor(4))
+	cfg := fourChannelConfig(101, nil)
+	cfg.Faults = &distsim.FaultPlan{}
+	dist := runEpochs(t, cfg, 4)
+	mem := runEpochs(t, fourChannelConfig(101, nil), 4)
+	if len(dist) != len(base) {
+		t.Fatalf("epoch counts differ: %d vs %d", len(dist), len(base))
 	}
-	mem := run(nil)
-	dist := run(&distsim.FaultPlan{})
-	if len(dist) != len(mem) {
-		t.Fatalf("epoch counts differ: %d vs %d", len(dist), len(mem))
-	}
-	for e := range mem {
-		if dist[e] != mem[e] {
-			t.Fatalf("epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], mem[e])
+	for e := range base {
+		if dist[e] != base[e] || mem[e] != base[e] {
+			t.Fatalf("epoch %d diverges:\n distsim, empty plan %+v\n no plan             %+v\n memory              %+v", e, dist[e], base[e], mem[e])
 		}
 	}
 	for e, m := range dist {

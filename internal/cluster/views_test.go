@@ -22,24 +22,12 @@ func viewsConfig(seed uint64, link distsim.LinkModel, viewSize int) Config {
 
 // The satellite equivalence pin at the cluster level: ViewSize=0 and any
 // ViewSize at or above every channel's pool are the same engine,
-// bit-for-bit, on both backends.
+// bit-for-bit, and the full-view engine matches the reference executor.
 func TestClusterViewEquivalenceFullView(t *testing.T) {
-	run := func(link distsim.LinkModel, viewSize int) []EpochMetrics {
-		c, err := New(viewsConfig(33, link, viewSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		var out []EpochMetrics
-		if err := c.Run(3, func(m EpochMetrics) { out = append(out, m) }); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	base := run(nil, 0)
+	base := crossCheck(t, viewsConfig(33, nil, 0), runFor(3))
 	for _, link := range links {
 		// 48 is the whole pool, so no channel's pool can exceed it.
-		got := run(link, 48)
+		got := runEpochs(t, viewsConfig(33, link, 48), 3)
 		for e := range base {
 			if got[e] != base[e] {
 				t.Fatalf("backend=%s epoch %d diverges:\n got  %+v\n want %+v", backendName(link), e, got[e], base[e])

@@ -645,11 +645,13 @@ func PoolGate() forkjoin.Gate { return forkjoin.NewGate(poolMinWork) }
 // applied at the start of the next round.
 type Runtime struct {
 	managers []*manager
-	nodes    []*helperNode
+	nodes    []helperNode // indexed by global helper id
 	stats    RoundStats
 	round    int
 	// gate and group step the managers on the executor; steps is the
-	// fork's task.
+	// fork's task. The gate opens at GOMAXPROCS > 1 (captured at New, so
+	// the mode stays stable if GOMAXPROCS changes mid-run) once a round
+	// reaches poolMinWork.
 	gate  forkjoin.Gate
 	group forkjoin.Group
 	steps roundSteps
@@ -718,8 +720,8 @@ func New(cfg Config) (*Runtime, error) {
 		linkMaster = xrand.New(cfg.LinkSeed)
 	}
 	rt := &Runtime{
-		nodes:      make([]*helperNode, len(cfg.Helpers)),
-		gate:       PoolGate(),
+		nodes:      make([]helperNode, len(cfg.Helpers)),
+		gate:       forkjoin.NewGate(poolMinWork),
 		batchSizes: cfg.BatchSizes,
 		spans:      cfg.Spans,
 		profiled:   cfg.Spans != nil || cfg.SpanClock != nil,
@@ -739,11 +741,10 @@ func New(cfg Config) (*Runtime, error) {
 		if cc.StartupStages < 0 {
 			return nil, fmt.Errorf("distsim: channel %q StartupStages=%g", cc.Name, cc.StartupStages)
 		}
-		// The channel's pool in global-id order — the same order the
-		// shared-memory cluster engine builds per-channel systems in, so
-		// the construction-time random draws line up exactly.
-		var pool []core.HelperSpec
-		var ids []int
+		// The channel's pool in global-id order: the system draws its
+		// helper chains from the channel stream in this order.
+		pool := make([]core.HelperSpec, 0, poolSize[ci])
+		ids := make([]int, 0, poolSize[ci])
 		for h, target := range cfg.Assign {
 			if target == ci {
 				pool = append(pool, cfg.Helpers[h])
@@ -773,6 +774,7 @@ func New(cfg Config) (*Runtime, error) {
 			out:     &rt.stats.Channels[ci],
 			link:    cfg.Link,
 			faults:  cfg.Faults,
+			pool:    make([]poolHelper, 0, len(pool)),
 			caps:    make([]float64, len(pool)),
 			ok:      make([]bool, len(pool)),
 			down:    make([]bool, len(pool)),
@@ -802,8 +804,8 @@ func New(cfg Config) (*Runtime, error) {
 			m.deferred = make([]float64, cc.InitialPeers)
 		}
 		for local, h := range ids {
-			node := &helperNode{id: h, link: cfg.Link}
-			rt.nodes[h] = node
+			node := &rt.nodes[h]
+			*node = helperNode{id: h, link: cfg.Link}
 			m.pool = append(m.pool, poolHelper{
 				id:     h,
 				node:   node,
@@ -815,8 +817,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.steps.managers = rt.managers
 	if linkMaster != nil {
-		for _, node := range rt.nodes {
-			node.linkRng = linkMaster.Split()
+		for h := range rt.nodes {
+			rt.nodes[h].linkRng = linkMaster.Split()
 		}
 	}
 	return rt, nil
@@ -824,6 +826,31 @@ func New(cfg Config) (*Runtime, error) {
 
 // NumChannels returns the channel count.
 func (rt *Runtime) NumChannels() int { return len(rt.managers) }
+
+// System exposes channel ci's system — its peers' policies, learner arena
+// and pool as of the last round — for inspection in tests and tools. Ops
+// queued since that round are not applied yet, and stepping the system
+// directly would break the protocol.
+func (rt *Runtime) System(ci int) *core.System { return rt.managers[ci].sys }
+
+// Lanes reports how many lanes the next round's managers would step on
+// with procs scheduler cores (1 steps them inline): the runtime's fork
+// gate, made inspectable for tests and tools.
+func (rt *Runtime) Lanes(procs int) int {
+	g := rt.gate
+	g.Procs = procs
+	return g.Width(len(rt.managers), rt.work())
+}
+
+// work is a round's size in the gate's unit: Σ over channels of viewers ×
+// actions per viewer.
+func (rt *Runtime) work() int {
+	work := 0
+	for _, m := range rt.managers {
+		work += m.sys.NumPeers() * m.sys.NewPeerActions()
+	}
+	return work
+}
 
 // Round returns the number of completed rounds.
 func (rt *Runtime) Round() int { return rt.round }
@@ -878,7 +905,7 @@ func (rt *Runtime) AddHelper(ci int, id int, spec core.HelperSpec) error {
 		return fmt.Errorf("distsim: AddHelper id %d of %d", id, len(rt.nodes))
 	}
 	rt.managers[ci].ops = append(rt.managers[ci].ops, op{
-		kind: opAddHelper, helper: id, spec: spec, node: rt.nodes[id],
+		kind: opAddHelper, helper: id, spec: spec, node: &rt.nodes[id],
 	})
 	return nil
 }
@@ -914,12 +941,8 @@ func (rt *Runtime) StepRound() (*RoundStats, error) {
 		return nil, errors.New("distsim: runtime closed")
 	}
 	t0 := rt.clock()
-	work := 0
-	for _, m := range rt.managers {
-		work += m.sys.NumPeers() * m.sys.NewPeerActions()
-	}
 	rt.steps.round = rt.round
-	rt.group.Run(len(rt.managers), rt.gate.Width(len(rt.managers), work), &rt.steps)
+	rt.group.Run(len(rt.managers), rt.gate.Width(len(rt.managers), rt.work()), &rt.steps)
 	// The round has joined: aggregate its accounting and merge the
 	// manager-local size histograms in channel order (deterministic
 	// integer counts).
