@@ -54,8 +54,8 @@ type Report struct {
 // re-allocation boundaries, scenario events included). NsPerStage is the
 // fastest of the -repeat rounds (the gate statistic); the mean/max fields
 // record the spread across rounds. GOMAXPROCS records the processor count
-// the row was measured under: the memory backend derives its channel
-// pool from it.
+// the row was measured under: the cluster derives its manager fork from
+// it.
 type ClusterResult struct {
 	Name             string  `json:"name"`
 	Channels         int     `json:"channels"`
@@ -193,7 +193,7 @@ type clusterSpec struct {
 	channels  int
 	peers     int
 	helpers   int
-	distsim   bool // run on distsim behind a perfect link (zero loss)
+	distsim   bool // run behind a perfect link (zero loss) instead of none
 	churn     bool // replay a generated churn trace through Cluster.Replay
 	faults    bool // run under the ClusterFaults lossy-link + fault plan
 	telemetry bool // attach a live metrics registry + discarded trace
@@ -205,19 +205,22 @@ func defaultClusterScenarios(full bool) []clusterSpec {
 	specs := []clusterSpec{
 		{name: "cluster-small-seq", channels: 8, peers: 240, helpers: 16},
 		{name: "cluster-mid-seq", channels: 20, peers: 1000, helpers: 40},
-		// The distsim acceptance pair: the same 4-channel, N=1k deployment
-		// on the shared-memory backend and on the batched message-passing
-		// runtime. The distsim row must stay within ~5x of the memory row.
+		// The link pair: the same 4-channel, N=1k deployment on the batched
+		// message-passing runtime with no link (-seq) and behind a perfect
+		// link (-distsim), which adjudicates every message but drops and
+		// draws nothing. Both rows once ran on different backends; the
+		// names and the baseline stay.
 		{name: "cluster-4ch-seq", channels: 4, peers: 1000, helpers: 16},
 		{name: "cluster-4ch-distsim", channels: 4, peers: 1000, helpers: 16, distsim: true},
 		// The churn-replay pair: the same deployment driven by a generated
 		// Poisson/Zipf viewer trace through Cluster.Replay (joins, leaves
-		// and zaps applied per stage, re-allocation epochs included) on
-		// both backends. Event application rides on top of the stage loop,
-		// so these rows bound the replay overhead against cluster-4ch-*.
+		// and zaps applied per stage, re-allocation epochs included), with
+		// no link and behind a perfect one. Event application rides on top
+		// of the stage loop, so these rows bound the replay overhead
+		// against cluster-4ch-*.
 		{name: "churn-replay-4ch-seq", channels: 4, peers: 1000, helpers: 16, churn: true},
 		{name: "churn-replay-4ch-distsim", channels: 4, peers: 1000, helpers: 16, distsim: true, churn: true},
-		// The fault-plan row: the distsim backend under the ClusterFaults
+		// The fault-plan row: the runtime under the ClusterFaults
 		// preset's lossy queueing links, helper crash, regional partition
 		// and failure detector. Bounds the fault adjudication + detector
 		// overhead against cluster-4ch-distsim (same shape, clean links).
@@ -272,8 +275,8 @@ func measureCluster(spec clusterSpec, stages int) (ClusterResult, error) {
 		return ClusterResult{}, fmt.Errorf("%s: %w", spec.name, err)
 	}
 	if spec.distsim {
-		// A perfect link needs message passing but drops, delays and
-		// draws nothing, so the row runs the memory row's trajectory.
+		// A perfect link drops, delays and draws nothing, so the row runs
+		// its -seq twin's trajectory.
 		cfg.Link = rths.LossyLink{}
 	}
 	if spec.telemetry {

@@ -67,16 +67,13 @@
 // stage, composing with the resident Markov switching, flash crowds and
 // re-allocation epochs — and emits the same per-epoch JSON records.
 //
-// The run picks its own execution backend. Lossy links, a fault plan and
-// the detector need message passing, so a run with any of them (-preset
-// faults, or -fault-* flags that configure one) steps on the batched
-// distsim runtime, with one node per channel manager and per helper.
-// Every other run steps channels on shared memory. Either way channels
-// fork across cores only when the host has several and the stage is big,
-// and a big channel's learner updates fork in peer blocks likewise.
-// Neither fork touches a random stream or a floating-point sum, so a
-// fixed (-seed) run is bit-reproducible on any host, and at zero loss the
-// two backends emit the same metrics bit-for-bit.
+// Every run steps on the batched distsim runtime, with one node per
+// channel manager and per helper; without lossy links, a fault plan or
+// the detector its links are perfect. Channel managers fork across cores
+// only when the host has several and the stage is big, and a big
+// channel's learner updates fork in peer blocks likewise. Neither fork
+// touches a random stream or a floating-point sum, so a fixed (-seed) run
+// is bit-reproducible on any host.
 package main
 
 import (

@@ -135,8 +135,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-preset", "galactic"}, "unknown preset"},
 		{[]string{"-alloc", "psychic"}, "unknown allocator"},
-		// The channel fork is derived from the host and the backend from
-		// the scenario; neither is configured.
+		// The manager fork is derived from the host, and every run steps
+		// on distsim; neither is configured.
 		{[]string{"-workers", "4"}, "flag provided but not defined"},
 		{[]string{"-backend", "distsim"}, "flag provided but not defined"},
 		// Trace-shaping flags without a trace would be silently dropped.
@@ -155,6 +155,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-switch-prob", "NaN"}, "-switch-prob NaN"},
 		{[]string{"-churn-arrival", "NaN"}, "-churn-arrival NaN"},
 		{[]string{"-epoch-stages", "-1"}, "-epoch-stages -1"},
+		// A zero-stage epoch would print "5 epochs × 0 stages" over a
+		// zero-stage horizon; with a churn trace it would fail naming
+		// neither the flag nor the field.
+		{[]string{"-epoch-stages", "0"}, "-epoch-stages 0: experiment: cluster scenario: EpochStages=0"},
+		{[]string{"-preset", "churn", "-epoch-stages", "0"}, "EpochStages=0"},
+		// A finite but huge churn rate fails at once naming the rate, not
+		// by exhausting memory while the trace is generated.
+		{[]string{"-preset", "churn", "-churn-arrival", "1e9"}, "ArrivalRate=1e+09"},
 		{[]string{"-channels", "0"}, "-channels 0"},
 		{[]string{"-helpers", "-1"}, "-helpers -1"},
 		{[]string{"-epochs", "-1"}, "-epochs -1"},

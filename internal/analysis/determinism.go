@@ -16,8 +16,8 @@ const NondeterminismOK = "nondeterminism-ok"
 
 // deterministicPkgs names the packages whose outputs must be
 // bit-reproducible for a fixed seed: equal (Config, Seed) must yield
-// identical welfare/continuity on any host, at any fork width of the
-// fork-join executor, and on both backends.
+// identical welfare/continuity on any host and at any fork width of the
+// fork-join executor.
 // Matched by the last element of the package path.
 var deterministicPkgs = map[string]bool{
 	"core":     true,

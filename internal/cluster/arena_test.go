@@ -32,9 +32,9 @@ func arenaChurnWorkload(t *testing.T, horizon int, seed uint64) *trace.Workload 
 // join/leave/switch events with partial views enabled must (a) keep every
 // channel's learner arena dense — exactly one occupied slot per resident
 // viewer, nothing leaked by departures or migrations — and (b) stay
-// bit-identical inline, with channels forked, and across the memory vs
-// distsim backends, so adoption/release/compaction provably never touches the
-// trajectory. (The companion 0-alloc pin for non-refresh stages lives at
+// bit-identical with the managers inline and forked, with no link and
+// behind a perfect link, so adoption/release/compaction provably never
+// touches the trajectory. (The companion 0-alloc pin for non-refresh stages lives at
 // the engine level in core's TestArenaDensityAndAllocsUnderChurn, where
 // the stage loop is the only moving part.)
 func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
@@ -60,13 +60,9 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		return out, c
 	}
 	checkDense := func(procs int, c *Cluster) {
-		b, ok := c.backend.(*memBackend)
-		if !ok {
-			t.Fatalf("workers=%d: expected memory backend", procs)
-		}
-		for ci, st := range b.channels {
-			a := st.sys.LearnerArena()
-			if got, want := a.Len(), st.sys.NumPeers(); got != want {
+		for ci := 0; ci < c.NumChannels(); ci++ {
+			sys := channelSystem(c, ci)
+			if got, want := sys.LearnerArena().Len(), sys.NumPeers(); got != want {
 				t.Fatalf("workers=%d channel %d: arena holds %d slots for %d peers — departed viewers leaked",
 					procs, ci, got, want)
 			}
@@ -85,26 +81,16 @@ func TestArenaDensityAndParityUnderClusterChurn(t *testing.T) {
 		t.Fatalf("replay applied %d events, want >= 10000 (joins=%d leaves=%d switches=%d)",
 			joins+leaves+switches, joins, leaves, switches)
 	}
-	got, c := run(nil, 4)
-	checkDense(4, c)
-	c.Close()
-	if len(got) != len(ref) {
-		t.Fatalf("pool epochs %d vs %d", len(got), len(ref))
-	}
-	for e := range ref {
-		if got[e] != ref[e] {
-			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, got[e], ref[e])
-		}
-	}
 	for _, procs := range []int{1, 4} {
-		dist, cd := run(distsim.Lossy{}, procs)
-		cd.Close()
-		if len(dist) != len(ref) {
-			t.Fatalf("distsim epochs %d vs %d", len(dist), len(ref))
+		got, c := run(distsim.Lossy{}, procs)
+		checkDense(procs, c)
+		c.Close()
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: epochs %d vs %d", procs, len(got), len(ref))
 		}
 		for e := range ref {
-			if dist[e] != ref[e] {
-				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n distsim %+v\n memory  %+v", procs, e, dist[e], ref[e])
+			if got[e] != ref[e] {
+				t.Fatalf("managers forked on %d lanes: epoch %d diverges:\n got  %+v\n want %+v", procs, e, got[e], ref[e])
 			}
 		}
 	}

@@ -9,10 +9,9 @@ import (
 // every channel is a manager node, every helper its own node, and a stage
 // is one protocol round. Membership and migration calls enqueue ops that
 // the managers apply — in call order — at the start of the next round,
-// which is exactly when the shared-memory backend's effects first become
-// observable too, so the two backends stay in lockstep: at zero link
-// latency/drop the per-epoch metrics are bit-identical (pinned by
-// TestDistsimBackendBitIdentical).
+// before anything of that round is observed. The tests' reference
+// executor applies the same ops at once and must agree stage by stage
+// (TestDistsimBackendBitIdentical).
 type distBackend struct {
 	rt   *distsim.Runtime
 	last *distsim.RoundStats // most recent round view (reused by the runtime)

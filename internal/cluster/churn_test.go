@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -31,81 +30,78 @@ func churnWorkload(t *testing.T, horizon int, seed uint64) *trace.Workload {
 	return w
 }
 
-// TestChurnOpsGlobalIDs exercises the global-id membership surface on both
-// backends: joins with sparse ids, duplicate-join and unknown-leave
+// TestChurnOpsGlobalIDs exercises the global-id membership surface: joins
+// with sparse ids, duplicate-join and unknown-leave
 // rejection, and the atomic Switch (a bad target must not drop the viewer).
 func TestChurnOpsGlobalIDs(t *testing.T) {
-	for _, link := range links {
-		backend := backendName(link)
-		c, err := New(Config{
-			Channels: []ChannelSpec{
-				{Name: "a", Bitrate: 500, InitialPeers: 3},
-				{Name: "b", Bitrate: 500, InitialPeers: 2},
-			},
-			Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-			Link:        link,
-			EpochStages: 5,
-			Seed:        31,
-		})
-		if err != nil {
-			t.Fatal(err)
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "a", Bitrate: 500, InitialPeers: 3},
+			{Name: "b", Bitrate: 500, InitialPeers: 2},
+		},
+		Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
+		Link:        distsim.Lossy{},
+		EpochStages: 5,
+		Seed:        31,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Join(1000, 0); err == nil {
+		t.Fatal("duplicate join accepted")
+	}
+	if err := c.Join(1001, 9); err == nil {
+		t.Fatal("out-of-range join accepted")
+	}
+	if err := c.Leave(42); err == nil {
+		t.Fatal("unknown leave accepted")
+	}
+	// Atomic switch: invalid target errors and the viewer stays put.
+	for _, bad := range []int{-1, 2} {
+		if err := c.Switch(1000, bad); err == nil {
+			t.Fatalf("switch to channel %d accepted", bad)
 		}
-		if err := c.Join(1000, 0); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Join(1000, 0); err == nil {
-			t.Fatalf("backend %v: duplicate join accepted", backend)
-		}
-		if err := c.Join(1001, 9); err == nil {
-			t.Fatalf("backend %v: out-of-range join accepted", backend)
-		}
-		if err := c.Leave(42); err == nil {
-			t.Fatalf("backend %v: unknown leave accepted", backend)
-		}
-		// Atomic switch: invalid target errors and the viewer stays put.
-		for _, bad := range []int{-1, 2} {
-			if err := c.Switch(1000, bad); err == nil {
-				t.Fatalf("backend %v: switch to channel %d accepted", backend, bad)
-			}
-		}
-		if c.ActivePeers() != 6 || c.ChannelAudience(0) != 4 {
-			t.Fatalf("backend %v: failed switch dropped the viewer: active=%d ch0=%d",
-				backend, c.ActivePeers(), c.ChannelAudience(0))
-		}
-		if err := c.Switch(1000, 1); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if c.ChannelAudience(0) != 3 || c.ChannelAudience(1) != 3 {
-			t.Fatalf("backend %v: switch not applied: %d/%d",
-				backend, c.ChannelAudience(0), c.ChannelAudience(1))
-		}
-		// Scenario joins allocate low ids, skipping the sparse explicit one.
-		if err := c.join(0); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, taken := c.byPeer[5]; !taken {
-			t.Fatalf("backend %v: scenario join skipped the lowest free id", backend)
-		}
-		if err := c.join(0); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, taken := c.byPeer[6]; !taken {
-			t.Fatalf("backend %v: scenario ids not sequential", backend)
-		}
-		// The churned membership steps cleanly (distsim applies the queued
-		// ops here).
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Leave(1000); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if c.ActivePeers() != 6 || c.ChannelAudience(0) != 4 {
+		t.Fatalf("failed switch dropped the viewer: active=%d ch0=%d",
+			c.ActivePeers(), c.ChannelAudience(0))
+	}
+	if err := c.Switch(1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.ChannelAudience(0) != 3 || c.ChannelAudience(1) != 3 {
+		t.Fatalf("switch not applied: %d/%d",
+			c.ChannelAudience(0), c.ChannelAudience(1))
+	}
+	// Scenario joins allocate low ids, skipping the sparse explicit one.
+	if err := c.join(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, taken := c.byPeer[5]; !taken {
+		t.Fatal("scenario join skipped the lowest free id")
+	}
+	if err := c.join(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, taken := c.byPeer[6]; !taken {
+		t.Fatal("scenario ids not sequential")
+	}
+	// The churned membership steps cleanly (distsim applies the queued
+	// ops here).
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -248,188 +244,165 @@ func TestReplayWorkload(t *testing.T) {
 	}
 }
 
-// TestJoinLeaveSameStage pins the same-stage join+leave edge on both
-// backends: the pair must cancel out before the next step — on distsim both
-// ops sit in the same round's queue and apply in order.
+// TestJoinLeaveSameStage pins the same-stage join+leave edge: the pair
+// must cancel out before the next step — both ops sit in the same round's
+// queue and apply in order.
 func TestJoinLeaveSameStage(t *testing.T) {
-	for _, link := range links {
-		backend := backendName(link)
-		c, err := New(Config{
-			Channels: []ChannelSpec{
-				{Name: "a", Bitrate: 500, InitialPeers: 4},
-				{Name: "b", Bitrate: 500, InitialPeers: 4},
-			},
-			Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
-			Link:        link,
-			EpochStages: 5,
-			Seed:        37,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := c.ActivePeers()
-		// Before the first step.
-		if err := c.Join(500, 0); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Leave(500); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		// And again mid-run, between two steps.
-		if err := c.Join(501, 1); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Leave(501); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if got := c.ActivePeers(); got != before {
-			t.Fatalf("backend %v: same-stage join+leave leaked membership: %d vs %d",
-				backend, got, before)
-		}
-		sum := c.ChannelAudience(0) + c.ChannelAudience(1)
-		if sum != c.ActivePeers() {
-			t.Fatalf("backend %v: audience sum %d vs active %d", backend, sum, c.ActivePeers())
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "a", Bitrate: 500, InitialPeers: 4},
+			{Name: "b", Bitrate: 500, InitialPeers: 4},
+		},
+		Helpers:     UniformHelpers(4, core.DefaultHelperSpec()),
+		Link:        distsim.Lossy{},
+		EpochStages: 5,
+		Seed:        37,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.ActivePeers()
+	// Before the first step.
+	if err := c.Join(500, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	// And again mid-run, between two steps.
+	if err := c.Join(501, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(501); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ActivePeers(); got != before {
+		t.Fatalf("same-stage join+leave leaked membership: %d vs %d",
+			got, before)
+	}
+	sum := c.ChannelAudience(0) + c.ChannelAudience(1)
+	if sum != c.ActivePeers() {
+		t.Fatalf("audience sum %d vs active %d", sum, c.ActivePeers())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestSwitchIntoFlashCrowdChannel pins the switch-into-a-flash-crowd edge
-// on both backends: a viewer switching into the channel in the same stage
-// the crowd lands must coexist with the crowd's joins (on distsim, the
-// switch's remove+add and the flash joins share one round's op queue).
+// TestSwitchIntoFlashCrowdChannel pins the switch-into-a-flash-crowd edge:
+// a viewer switching into the channel in the same stage the crowd lands
+// must coexist with the crowd's joins (the switch's remove+add and the
+// flash joins share one round's op queue).
 func TestSwitchIntoFlashCrowdChannel(t *testing.T) {
-	for _, link := range links {
-		backend := backendName(link)
-		c, err := New(Config{
-			Channels: []ChannelSpec{
-				{Name: "calm", Bitrate: 500, InitialPeers: 6},
-				{Name: "flash", Bitrate: 500, InitialPeers: 2},
-			},
-			Helpers:     UniformHelpers(6, core.DefaultHelperSpec()),
-			Link:        link,
-			EpochStages: 10,
-			Seed:        41,
-			Flash:       []FlashCrowd{{Stage: 3, Channel: 1, Peers: 20}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < 3; s++ {
-			if _, err := c.StepStage(); err != nil {
-				t.Fatalf("backend %v: %v", backend, err)
-			}
-		}
-		// Switch a calm viewer in just before the stage whose step injects
-		// the crowd: both land within stage 3.
-		mover := c.ChannelPeerIDs(0)[0]
-		if err := c.Switch(mover, 1); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "calm", Bitrate: 500, InitialPeers: 6},
+			{Name: "flash", Bitrate: 500, InitialPeers: 2},
+		},
+		Helpers:     UniformHelpers(6, core.DefaultHelperSpec()),
+		Link:        distsim.Lossy{},
+		EpochStages: 10,
+		Seed:        41,
+		Flash:       []FlashCrowd{{Stage: 3, Channel: 1, Peers: 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < 3; s++ {
 		if _, err := c.StepStage(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if got, want := c.ChannelAudience(1), 2+20+1; got != want {
-			t.Fatalf("backend %v: flash channel audience %d, want %d", backend, got, want)
-		}
-		if got, want := c.ActivePeers(), 6+2+20; got != want {
-			t.Fatalf("backend %v: active %d, want %d", backend, got, want)
-		}
-		// The swollen channel keeps stepping and the mover can still be
-		// addressed by its global id.
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Leave(mover); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Switch a calm viewer in just before the stage whose step injects
+	// the crowd: both land within stage 3.
+	mover := c.ChannelPeerIDs(0)[0]
+	if err := c.Switch(mover, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StepStage(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.ChannelAudience(1), 2+20+1; got != want {
+		t.Fatalf("flash channel audience %d, want %d", got, want)
+	}
+	if got, want := c.ActivePeers(), 6+2+20; got != want {
+		t.Fatalf("active %d, want %d", got, want)
+	}
+	// The swollen channel keeps stepping and the mover can still be
+	// addressed by its global id.
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave(mover); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestBoundaryBetweenLeaveAndRejoin pins the epoch-boundary edge: a viewer
 // leaves, the boundary re-allocates helpers off its emptied channel, and
 // the same global id re-joins afterwards — the id must be re-integrated
-// cleanly on the migrated pools, on both backends.
+// cleanly on the migrated pools.
 func TestBoundaryBetweenLeaveAndRejoin(t *testing.T) {
-	for _, link := range links {
-		backend := backendName(link)
-		c, err := New(Config{
-			Channels: []ChannelSpec{
-				{Name: "a", Bitrate: 600, InitialPeers: 8},
-				{Name: "b", Bitrate: 600, InitialPeers: 8},
-			},
-			Helpers:     UniformHelpers(8, core.DefaultHelperSpec()),
-			Link:        link,
-			EpochStages: 5,
-			Seed:        43,
-		})
-		if err != nil {
-			t.Fatal(err)
+	c, err := New(Config{
+		Channels: []ChannelSpec{
+			{Name: "a", Bitrate: 600, InitialPeers: 8},
+			{Name: "b", Bitrate: 600, InitialPeers: 8},
+		},
+		Helpers:     UniformHelpers(8, core.DefaultHelperSpec()),
+		Link:        distsim.Lossy{},
+		EpochStages: 5,
+		Seed:        43,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	// Drain most of channel 1 so the boundary migrates helpers to 0.
+	departed := append([]int(nil), c.ChannelPeerIDs(1)[:6]...)
+	for _, id := range departed {
+		if err := c.Leave(id); err != nil {
+			t.Fatalf("leave %d: %v", id, err)
 		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
+	}
+	m, err := c.RunEpoch() // boundary lands between the leaves and the re-joins
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Leaves != len(departed) {
+		t.Fatalf("epoch counted %d leaves, want %d", m.Leaves, len(departed))
+	}
+	if m.Moves == 0 {
+		t.Fatal("drained channel triggered no migration")
+	}
+	// The same global ids come back, onto the post-migration pools.
+	for _, id := range departed {
+		if err := c.Join(id, 1); err != nil {
+			t.Fatalf("re-join %d: %v", id, err)
 		}
-		// Drain most of channel 1 so the boundary migrates helpers to 0.
-		departed := append([]int(nil), c.ChannelPeerIDs(1)[:6]...)
-		for _, id := range departed {
-			if err := c.Leave(id); err != nil {
-				t.Fatalf("backend %v: leave %d: %v", backend, id, err)
-			}
-		}
-		m, err := c.RunEpoch() // boundary lands between the leaves and the re-joins
-		if err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if m.Leaves != len(departed) {
-			t.Fatalf("backend %v: epoch counted %d leaves, want %d", backend, m.Leaves, len(departed))
-		}
-		if m.Moves == 0 {
-			t.Fatalf("backend %v: drained channel triggered no migration", backend)
-		}
-		// The same global ids come back, onto the post-migration pools.
-		for _, id := range departed {
-			if err := c.Join(id, 1); err != nil {
-				t.Fatalf("backend %v: re-join %d: %v", backend, id, err)
-			}
-		}
-		if _, err := c.RunEpoch(); err != nil {
-			t.Fatalf("backend %v: %v", backend, err)
-		}
-		if got, want := c.ActivePeers(), 16; got != want {
-			t.Fatalf("backend %v: active %d, want %d", backend, got, want)
-		}
-		if link == nil {
-			for ci := 0; ci < c.NumChannels(); ci++ {
-				sys := c.backend.(*memBackend).channels[ci].sys
-				if sys.NumPeers() != c.ChannelAudience(ci) {
-					t.Fatalf("channel %d system has %d peers, director says %d",
-						ci, sys.NumPeers(), c.ChannelAudience(ci))
-				}
-				for i := 0; i < sys.NumPeers(); i++ {
-					if got := sys.Selector(i).NumActions(); got != sys.NumHelpers() {
-						t.Fatalf("channel %d peer %d has %d actions, pool %d",
-							ci, i, got, sys.NumHelpers())
-					}
-				}
-			}
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.ActivePeers(), 16; got != want {
+		t.Fatalf("active %d, want %d", got, want)
+	}
+	checkSystems(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -515,8 +488,8 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		t.Fatalf("replay scenario inert (joins=%d leaves=%d switches=%d moves=%d); parity not exercised",
 			joins, leaves, switches, moves)
 	}
-	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
-		c, err := New(fourChannelConfig(61, link))
+	run := func(procs int) []EpochMetrics {
+		c, err := New(fourChannelConfig(61, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,16 +501,14 @@ func TestReplayBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 		}
 		return out
 	}
-	for _, link := range links {
-		for _, procs := range []int{1, 4} {
-			got := run(link, procs)
-			if len(got) != len(ref) {
-				t.Fatalf("backend=%s workers=%d: epochs %d vs %d", backendName(link), procs, len(got), len(ref))
-			}
-			for e := range ref {
-				if got[e] != ref[e] {
-					t.Fatalf("backend=%s workers=%d epoch %d diverges:\n got  %+v\n want %+v", backendName(link), procs, e, got[e], ref[e])
-				}
+	for _, procs := range []int{1, 4} {
+		got := run(procs)
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d: epochs %d vs %d", procs, len(got), len(ref))
+		}
+		for e := range ref {
+			if got[e] != ref[e] {
+				t.Fatalf("workers=%d epoch %d diverges:\n got  %+v\n want %+v", procs, e, got[e], ref[e])
 			}
 		}
 	}
@@ -568,36 +539,6 @@ func TestChannelStageResultBackendsAgree(t *testing.T) {
 		}
 		return nil
 	})
-	build := func(link distsim.LinkModel) *Cluster {
-		c, err := New(fourChannelConfig(71, link))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	mem, dist := build(nil), build(distsim.Lossy{})
-	defer mem.Close()
-	defer dist.Close()
-	for s := 0; s < 12; s++ {
-		for _, c := range []*Cluster{mem, dist} {
-			for _, e := range perStage[s] {
-				if err := c.Apply(e); err != nil {
-					t.Fatalf("stage %d: %v", s, err)
-				}
-			}
-			if _, err := c.StepStage(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for ci := 0; ci < mem.NumChannels(); ci++ {
-			mr := mem.ChannelStageResult(ci).Clone()
-			dr := dist.ChannelStageResult(ci).Clone()
-			if !reflect.DeepEqual(mr, dr) {
-				t.Fatalf("stage %d channel %d stage views diverge:\n memory  %+v\n distsim %+v",
-					s, ci, mr, dr)
-			}
-		}
-	}
 }
 
 // TestReplayTotalsMatchesReplayMembership pins the per-stage totals path to

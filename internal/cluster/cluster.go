@@ -9,25 +9,23 @@
 // into one engine with two loops:
 //
 //   - The stage loop steps every channel. Channels are independent systems
-//     with private RNG streams, so the director hands each stage to an
-//     execution backend that New derives from the config: when any of
-//     Link, Faults or Detector is set the channels run as message-passing
-//     nodes on internal/distsim, and otherwise the shared-memory backend
-//     steps them. Either backend forks the channels on the fork-join
-//     executor when GOMAXPROCS and the stage size make it pay, and steps
-//     them inline otherwise. A perfect link (distsim.Lossy{}) runs distsim
-//     at zero loss. Per-epoch aggregates are reduced in channel-index order
-//     either way, so results are bit-identical with the pool on or off AND
-//     on both backends at zero link latency/drop (pinned by
-//     TestDeterministicAcrossWorkers and TestDistsimBackendBitIdentical).
+//     with private RNG streams, run as message-passing nodes on
+//     internal/distsim: a manager node per channel, a node per helper, one
+//     protocol round per stage. The runtime forks the managers on the
+//     fork-join executor when GOMAXPROCS and the stage size make it pay,
+//     and steps them inline otherwise. Per-epoch aggregates are reduced in
+//     channel-index order, so results are bit-identical with the fork on
+//     or off (pinned by TestDeterministicAcrossWorkers). The tests
+//     cross-check every stage against a naive reference executor
+//     (TestDistsimBackendBitIdentical).
 //
 //   - The churn surface addresses viewers by global id: Join/Leave/Switch
 //     (and Apply for trace events) mutate membership between stages, and
 //     Replay/ReplayTotals drive a whole trace.Workload through the engine —
 //     each stage's events applied before the stage steps — so replayed
 //     workloads compose with flash crowds, Markov switching, re-allocation
-//     epochs, forked channels, and both backends (distsim applies the
-//     ops as queued control messages at the next round).
+//     epochs and forked channels (distsim applies the ops as queued
+//     control messages at the next round).
 //
 //   - The epoch loop fires every EpochStages stages: per-channel demands
 //     (audience × bitrate) are measured, the configured allocator proposes
@@ -35,8 +33,8 @@
 //     more than Hysteresis in maximum deficit the moved helpers migrate —
 //     RemoveHelper on the losing channel, AddHelper on the gaining one,
 //     which drives AddAction/RemoveAction churn through every affected
-//     peer's learner. On the distsim backend the migration executes as
-//     control messages between channel-manager nodes and the helper nodes.
+//     peer's learner. The migration executes as control messages between
+//     channel-manager nodes and the helper nodes.
 //
 // All channels share one utility scale (the global maximum helper level,
 // via core.Config.UtilityScale) so a migrating helper never exceeds the
@@ -136,10 +134,10 @@ type Config struct {
 	Seed uint64
 	// Factory builds selection policies (nil = RTHS learners). Policies
 	// must implement core.DynamicSelector for helper migration to work.
-	// On the distsim backend (any of Link, Faults or Detector set) the
-	// factory is called from channel-manager goroutines — different
-	// channels concurrently — so it must be safe for concurrent use
-	// (stateless factories, like every factory in this repository, are).
+	// Channel managers call it, and forked managers call it concurrently
+	// (different channels on different lanes), so it must be safe for
+	// concurrent use (stateless factories, like every factory in this
+	// repository, are).
 	Factory core.SelectorFactory
 	// Switching enables Markov channel-switching viewers (nil disables).
 	Switching *SwitchingConfig
@@ -154,8 +152,8 @@ type Config struct {
 	// view, so per-viewer learner state is O(ViewSize²) and helper
 	// migration touches only the viewers whose views contain the moved
 	// helper. 0 keeps full views (today's behavior bit-for-bit). The
-	// bound follows core's engagement discipline, applied per channel and
-	// identically on both backends: views engage in a channel when its
+	// bound follows core's engagement discipline, applied per channel:
+	// views engage in a channel when its
 	// pool exceeds ViewSize — at construction if the initial pool is
 	// already larger, or lazily when migration first grows the pool past
 	// the bound (resident learners then shrink their views down to
@@ -164,15 +162,10 @@ type Config struct {
 	// ViewRefresh is the partial-view refresh period in stages (see
 	// core.Config.ViewRefresh; 0 = default, negative disables).
 	ViewRefresh int
-	// Link, Faults and Detector need message passing: when any of them is
-	// set, New runs every channel as a manager node and every helper as
-	// its own node on the batched distsim runtime. With none set the
-	// channels step on shared memory.
-	//
 	// Link adjudicates every data-plane message of the message-passing
-	// runtime. A perfect link (distsim.Lossy{}) drops and delays nothing
-	// and draws no random numbers, so it runs distsim bit-identically to
-	// the memory backend. LinkSeed derives the link streams.
+	// runtime (nil = perfect links). A perfect Lossy{} drops and delays
+	// nothing and draws no random numbers, so it runs bit-identically to
+	// a nil Link. LinkSeed derives the link streams.
 	Link     distsim.LinkModel
 	LinkSeed uint64
 	// Faults schedules deterministic faults on the runtime (see
@@ -191,10 +184,12 @@ type Config struct {
 	// registry: epoch gauges (welfare ratio, continuity, max deficit,
 	// active peers, helpers down), lifetime counters (stages, epochs,
 	// migrations, churn, detector verdicts, distsim round accounting) and
-	// histograms (stage wall time, distsim batch sizes). Instruments only
-	// observe — they consume no randomness and feed nothing back into the
-	// run, so enabling them never changes any deterministic output. nil
-	// disables telemetry at the cost of one pointer check per stage.
+	// histograms (stage wall time, distsim batch sizes), and it turns on
+	// the runtime's round spans, which feed the barrier-tax gauge.
+	// Instruments only observe — they consume no randomness and feed
+	// nothing back into the run, so enabling them never changes any
+	// deterministic output. nil disables telemetry at the cost of one
+	// pointer check per stage.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives the structured lifecycle event stream
 	// (epoch boundaries, helper migrations, detector suspect/evict/readmit,
@@ -216,8 +211,7 @@ type Config struct {
 
 // EpochMetrics is the cluster's per-epoch observable — the JSON record
 // cmd/rths-cluster emits. All fields are reduced in channel-index order,
-// so a fixed Seed yields bit-identical values at any fork width and on
-// both execution backends (at zero link latency/drop).
+// so a fixed Seed yields bit-identical values at any fork width.
 type EpochMetrics struct {
 	// Epoch is the 0-based epoch index; the epoch covers the Stages stages
 	// since the previous boundary. Stages equals Config.EpochStages except
@@ -253,8 +247,8 @@ type EpochMetrics struct {
 	// Leaves is the number of viewers that departed during the epoch.
 	Leaves int `json:"viewer_leaves"`
 	// LateServed counts late attach batches buffered and served under
-	// queueing-link semantics during the epoch (distsim backend with
-	// FaultPlan.Queueing; 0 otherwise).
+	// queueing-link semantics during the epoch (FaultPlan.Queueing; 0
+	// otherwise).
 	LateServed int `json:"late_served_batches"`
 	// FaultMsgs counts helper exchanges the fault plan suppressed during
 	// the epoch (crashed helpers, severed partitions).
@@ -298,10 +292,9 @@ type stageData struct {
 	stalled    int
 	lateServed int
 	faultMsgs  int
-	// Telemetry-only observables: distsim round accounting (zero on the
-	// shared-memory backend except viewSwaps) and partial-view refresh
-	// swaps. Consumed per stage by the instrument set and the event trace,
-	// not accumulated into epoch metrics.
+	// Telemetry-only observables: distsim round accounting and partial-view
+	// refresh swaps. Consumed per stage by the instrument set and the event
+	// trace, not accumulated into epoch metrics.
 	msgs      int
 	batches   int
 	lost      int
@@ -320,9 +313,10 @@ func (a *stageData) accumulate(s stageData) {
 	a.faultMsgs += s.faultMsgs
 }
 
-// backend executes the per-channel systems for the director. Membership
-// and migration calls may be applied immediately (shared memory) or
-// queued and applied — in call order — at the start of the next step
+// backend executes the per-channel systems for the director: the distsim
+// runtime, or in tests the reference executor that cross-checks it.
+// Membership and migration calls may be applied immediately (reference)
+// or queued and applied — in call order — at the start of the next step
 // (distsim); the director always issues every op for a stage before
 // stepping it, so the two disciplines are equivalent.
 type backend interface {
@@ -344,11 +338,10 @@ type backend interface {
 	// eachReply walks the most recent step's capacity-reply ledger: one
 	// call per pool helper per channel, with the helper's global id and
 	// whether its exchange failed (drop, fatal delay, crash, partition).
-	// The shared-memory backend has no links and reports nothing.
 	eachReply(fn func(helper int, missed bool))
 	// roundProfile returns the most recent step's critical-path
 	// attribution and the cumulative barrier tax; ok is false when the
-	// backend doesn't profile rounds (shared memory, or spans disabled).
+	// backend doesn't profile rounds (spans disabled).
 	roundProfile() (p distsim.RoundProfile, barrierTax float64, ok bool)
 	// close releases backend resources (ends the distsim runtime).
 	close() error
@@ -450,20 +443,14 @@ type Cluster struct {
 	trace       *telemetry.Tracer
 	seriesEvery int
 
-	// spans is the distsim round-span ring (telemetry + distsim backend
-	// only); chSupply is reusable boundary scratch for per-channel
-	// assigned capacity.
+	// spans is the distsim round-span ring (telemetry only); chSupply is
+	// reusable boundary scratch for per-channel assigned capacity.
 	spans    *telemetry.Recorder
 	chSupply []float64
 }
 
 // New builds a cluster from the config.
-func New(cfg Config) (*Cluster, error) {
-	if cfg.Link != nil || cfg.Faults != nil || cfg.Detector != nil {
-		return newCluster(cfg, newDistBackend)
-	}
-	return newCluster(cfg, newMemBackend)
-}
+func New(cfg Config) (*Cluster, error) { return newCluster(cfg, newDistBackend) }
 
 // newBackend builds a cluster's execution backend once newCluster has
 // derived the initial assignment, the channel seeds, the shared utility
@@ -508,7 +495,6 @@ func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	dist := cfg.Link != nil || cfg.Faults != nil || cfg.Detector != nil
 	c := &Cluster{
 		byPeer:      make(map[int]location),
 		allocator:   cfg.Allocator,
@@ -566,7 +552,7 @@ func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 
 	// Director bookkeeping. The RNG budget is drawn in a fixed order
 	// (viewer stream first, then one seed per channel), so construction is
-	// reproducible and independent of the backend choice.
+	// reproducible and independent of the backend.
 	master := xrand.New(cfg.Seed)
 	c.viewerRng = master.Split()
 	seeds := make([]uint64, len(cfg.Channels))
@@ -597,7 +583,7 @@ func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 	c.tel = newClusterTelemetry(cfg.Metrics, names, len(cfg.Helpers))
 	c.trace = cfg.Trace
 	c.seriesEvery = cfg.SeriesEvery
-	if c.tel.enabled && dist {
+	if c.tel.enabled {
 		// Keep a few rounds of spans per channel; bound the ring so a
 		// 1k-channel fleet stays at fixed memory.
 		capacity := 8 * len(cfg.Channels)
@@ -707,9 +693,7 @@ func (c *Cluster) Assignment() alloc.Assignment {
 	return append(alloc.Assignment(nil), c.assign...)
 }
 
-// Close releases the execution backend. It ends the distsim backend's
-// runtime (built when any of Link, Faults or Detector is set), so later
-// stages fail, and is a no-op on the memory backend.
+// Close ends the cluster's distsim runtime, so later stages fail.
 func (c *Cluster) Close() error { return c.backend.close() }
 
 // MaxDeficit evaluates the current assignment against the channels'
@@ -1408,8 +1392,7 @@ func (c *Cluster) Apply(e trace.Event) error {
 // observed. A trailing partial epoch is flushed with Stages set to its
 // actual length. Events beyond the horizon are dropped (the
 // trace.Workload.PerStage contract), so a short replay simply truncates
-// the workload. Metrics are bit-identical at any fork width and on both
-// backends at zero link latency/drop.
+// the workload. Metrics are bit-identical at any fork width.
 func (c *Cluster) Replay(w *trace.Workload, horizon int, observe func(EpochMetrics)) error {
 	perStage := w.PerStage(horizon)
 	for s := 0; s < horizon; s++ {

@@ -195,7 +195,7 @@ func TestChannelSeedsNotAdditive(t *testing.T) {
 	t.Fatal("cluster(seed+const) channel 0 replays cluster(seed) channel 1: channel streams are shared")
 }
 
-// twoChannelCluster is a small memory-backend deployment: news (400 kbps,
+// twoChannelCluster is a small deployment: news (400 kbps,
 // 6 viewers) and sports (600 kbps, 4 viewers) over a pool of 5 helpers.
 func twoChannelCluster(t *testing.T, seed uint64) *Cluster {
 	t.Helper()
@@ -240,7 +240,7 @@ func TestStepAggregates(t *testing.T) {
 }
 
 // TestStepStageZeroAllocs pins the aggregate-only observation path: once
-// warm, a memory-backend StepStage allocates nothing per stage.
+// warm, a StepStage allocates nothing per stage.
 func TestStepStageZeroAllocs(t *testing.T) {
 	c := twoChannelCluster(t, 37)
 	for s := 0; s < 8; s++ {
@@ -283,31 +283,49 @@ func TestMembershipConservedUnderSwitching(t *testing.T) {
 
 // forcePool pins how c steps its channels whatever the host and the
 // stage size: procs <= 1 steps them inline, procs > 1 forks them on
-// min(procs, channels) lanes from the next stage on. It pins the memory
-// backend's channel fork and the distsim backend's manager fork alike.
+// min(procs, channels) lanes from the next stage on.
 func forcePool(t *testing.T, c *Cluster, procs int) {
 	t.Helper()
-	g := forkjoin.Gate{Procs: procs}
-	switch b := c.backend.(type) {
-	case *memBackend:
-		b.gate = g
-		if want := min(procs, len(b.channels)); want > 1 && b.width() != want {
-			t.Fatalf("forced fork runs %d lanes, want %d", b.width(), want)
+	b := c.backend.(*distBackend)
+	b.rt.SetPoolGate(forkjoin.Gate{Procs: procs})
+	if want := min(procs, c.NumChannels()); want > 1 && b.rt.Lanes(procs) != want {
+		t.Fatalf("forced fork runs %d lanes, want %d", b.rt.Lanes(procs), want)
+	}
+}
+
+// checkSystems steps c once, so distsim applies the ops queued since its
+// last round, and checks every channel's system against the director: a
+// peer per viewer, a helper per pool entry, every learner sized to the
+// pool, and an arena slot per peer.
+func checkSystems(t *testing.T, c *Cluster) {
+	t.Helper()
+	if _, err := c.StepStage(); err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < c.NumChannels(); ci++ {
+		sys := channelSystem(c, ci)
+		if sys.NumPeers() != c.ChannelAudience(ci) || sys.NumHelpers() != c.ChannelPool(ci) {
+			t.Fatalf("channel %d system has %d peers and %d helpers, director says %d and %d",
+				ci, sys.NumPeers(), sys.NumHelpers(), c.ChannelAudience(ci), c.ChannelPool(ci))
 		}
-	case *distBackend:
-		b.rt.SetPoolGate(g)
-	default:
-		t.Fatalf("forcePool on %T", c.backend)
+		for i := 0; i < sys.NumPeers(); i++ {
+			if got := sys.Selector(i).NumActions(); got != sys.NumHelpers() {
+				t.Fatalf("channel %d peer %d has %d actions, pool %d", ci, i, got, sys.NumHelpers())
+			}
+		}
+		if got, want := sys.LearnerArena().Len(), sys.NumPeers(); got != want {
+			t.Fatalf("channel %d: arena holds %d slots for %d peers", ci, got, want)
+		}
 	}
 }
 
 // TestDeterministicAcrossWorkers pins the cluster's determinism contract:
 // forking channels on the executor affects wall-clock only. The fork's
 // width is derived from the host (min(GOMAXPROCS, channels)), so every
-// per-epoch metric must be bit-identical inline and on 2 and 4 lanes, on
-// the memory backend and with the distsim backend's managers forked
-// alike, across epochs with viewer switching, a flash crowd, replayed
-// churn, partial views and helper re-allocation.
+// per-epoch metric must be bit-identical inline and on 2 and 4 lanes,
+// with no link and behind a perfect one, across epochs with viewer
+// switching, a flash crowd, replayed churn, partial views and helper
+// re-allocation.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	const horizon = 100 // 5 epochs at EpochStages=20
 	wl := churnWorkload(t, horizon, 29)
@@ -326,16 +344,14 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		if err := c.Replay(wl, horizon, func(m EpochMetrics) { out = append(out, m) }); err != nil {
 			t.Fatal(err)
 		}
-		if b, ok := c.backend.(*memBackend); ok {
-			viewed := 0
-			for _, st := range b.channels {
-				if st.sys.NumPeers() > 0 && st.sys.PeerView(0) != nil {
-					viewed++
-				}
+		viewed := 0
+		for ci := 0; ci < c.NumChannels(); ci++ {
+			if sys := channelSystem(c, ci); sys.NumPeers() > 0 && sys.PeerView(0) != nil {
+				viewed++
 			}
-			if viewed == 0 {
-				t.Fatal("no channel engaged partial views; determinism test does not cover views")
-			}
+		}
+		if viewed == 0 {
+			t.Fatal("no channel engaged partial views; determinism test does not cover views")
 		}
 		return out
 	}
@@ -350,19 +366,14 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("scenario inert (moves=%d joins=%d leaves=%d); determinism test does not cover migration and churn",
 			moved, joins, leaves)
 	}
-	for _, link := range links {
-		for _, procs := range []int{1, 2, 4} {
-			if link == nil && procs == 1 {
-				continue // the reference
-			}
-			got := run(link, procs)
-			if len(got) != len(ref) {
-				t.Fatalf("backend=%s workers=%d epochs %d vs %d", backendName(link), procs, len(got), len(ref))
-			}
-			for e := range ref {
-				if got[e] != ref[e] {
-					t.Fatalf("backend=%s workers=%d epoch %d diverges:\n got %+v\nwant %+v", backendName(link), procs, e, got[e], ref[e])
-				}
+	for _, procs := range []int{1, 2, 4} {
+		got := run(distsim.Lossy{}, procs)
+		if len(got) != len(ref) {
+			t.Fatalf("workers=%d epochs %d vs %d", procs, len(got), len(ref))
+		}
+		for e := range ref {
+			if got[e] != ref[e] {
+				t.Fatalf("workers=%d epoch %d diverges:\n got %+v\nwant %+v", procs, e, got[e], ref[e])
 			}
 		}
 	}
@@ -491,18 +502,7 @@ func TestMigrationChurnsLearnerActionSets(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("flash crowd did not trigger migration")
 	}
-	for ci := 0; ci < c.NumChannels(); ci++ {
-		sys := c.backend.(*memBackend).channels[ci].sys
-		if got, want := sys.NumHelpers(), c.ChannelPool(ci); got != want {
-			t.Fatalf("channel %d system has %d helpers, pool map says %d", ci, got, want)
-		}
-		for i := 0; i < sys.NumPeers(); i++ {
-			if got := sys.Selector(i).NumActions(); got != sys.NumHelpers() {
-				t.Fatalf("channel %d peer %d has %d actions, pool %d",
-					ci, i, got, sys.NumHelpers())
-			}
-		}
-	}
+	checkSystems(t, c)
 	// The assignment map and per-channel helper id lists stay one-to-one.
 	seen := make(map[int]bool)
 	for ci := 0; ci < c.NumChannels(); ci++ {

@@ -20,9 +20,8 @@ import (
 //
 // The detector is deliberately schedule-blind: it sees only missed
 // replies, never the FaultPlan, so an iid link drop burst can trigger a
-// (correct, if unlucky) eviction exactly like a real crash. Like Link and
-// Faults, setting it builds the distsim backend, because the shared-memory
-// backend has no reply ledger.
+// (correct, if unlucky) eviction exactly like a real crash. It reads the
+// distsim runtime's capacity-reply ledger.
 type DetectorConfig struct {
 	// SuspectAfter is the consecutive-miss eviction threshold (default 3;
 	// must be positive after defaulting).

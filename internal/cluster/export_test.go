@@ -1,14 +1,10 @@
 package cluster
 
-// PoolWorkers reports how many lanes the memory backend steps c's next
-// stage on, on a host with procs scheduler cores (0 means the channels
-// step inline).
+// PoolWorkers reports how many lanes c's next stage steps its channels
+// on, on a host with procs scheduler cores (0 means the channels step
+// inline).
 func PoolWorkers(c *Cluster, procs int) int {
-	b := c.backend.(*memBackend)
-	saved := b.gate.Procs
-	b.gate.Procs = procs
-	defer func() { b.gate.Procs = saved }()
-	if w := b.width(); w > 1 {
+	if w := c.backend.(*distBackend).rt.Lanes(procs); w > 1 {
 		return w
 	}
 	return 0

@@ -41,7 +41,7 @@ type clusterTelemetry struct {
 	readmissions *telemetry.Counter
 	viewSwaps    *telemetry.Counter
 
-	// Distsim round accounting (zero on the shared-memory backend).
+	// Distsim round accounting.
 	msgs       *telemetry.Counter
 	batches    *telemetry.Counter
 	lostMsgs   *telemetry.Counter

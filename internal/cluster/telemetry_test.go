@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rths/internal/core"
-	"rths/internal/distsim"
 	"rths/internal/telemetry"
 )
 
@@ -27,12 +26,13 @@ func runEpochs(t *testing.T, cfg Config, epochs int) []EpochMetrics {
 	return out
 }
 
-// Telemetry must never perturb the run: with instruments and tracing on,
-// every epoch record is bit-identical to the uninstrumented run, inline
-// and with channels forked, and on both backends.
+// Telemetry must never perturb the run: with instruments, round spans
+// and tracing on, every epoch record is bit-identical to the
+// uninstrumented run, with the managers inline and forked, and under
+// faults.
 func TestTelemetryOnOffBitIdentical(t *testing.T) {
 	const epochs = 3
-	t.Run("memory workers", func(t *testing.T) {
+	t.Run("workers", func(t *testing.T) {
 		base := runEpochs(t, fourChannelConfig(11, nil), epochs)
 		for _, procs := range []int{1, 4} {
 			cfg := fourChannelConfig(11, nil)
@@ -76,7 +76,7 @@ func TestTelemetryOnOffBitIdentical(t *testing.T) {
 // obey the 2H+2C-per-round protocol cost (plus migration hand-offs).
 func TestClusterMetricsPopulated(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := fourChannelConfig(31, distsim.Lossy{})
+	cfg := fourChannelConfig(31, nil)
 	cfg.Metrics = reg
 	c, err := New(cfg)
 	if err != nil {
@@ -252,7 +252,7 @@ func TestTraceDetectorTimeline(t *testing.T) {
 // profile gauges.
 func TestDimensionalSeriesExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := fourChannelConfig(13, distsim.Lossy{})
+	cfg := fourChannelConfig(13, nil)
 	cfg.Metrics = reg
 	if _, err := runOne(t, cfg); err != nil {
 		t.Fatal(err)
@@ -344,7 +344,6 @@ func TestBarrierTaxSkewVsUniform(t *testing.T) {
 				{Name: "d", Bitrate: 600, InitialPeers: peers[3]},
 			},
 			Helpers:     UniformHelpers(40, core.DefaultHelperSpec()),
-			Link:        distsim.Lossy{},
 			EpochStages: 20,
 			Seed:        29,
 			Metrics:     telemetry.NewRegistry(),

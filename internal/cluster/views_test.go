@@ -11,7 +11,7 @@ import (
 
 // viewsConfig is the fourChannelConfig shape with enough helpers that
 // every channel's pool exceeds the view bound, so partial views engage in
-// every channel. As there, a nil link runs it on the memory backend.
+// every channel.
 func viewsConfig(seed uint64, link distsim.LinkModel, viewSize int) Config {
 	cfg := fourChannelConfig(seed, link)
 	cfg.Helpers = UniformHelpers(48, core.DefaultHelperSpec())
@@ -25,23 +25,22 @@ func viewsConfig(seed uint64, link distsim.LinkModel, viewSize int) Config {
 // bit-for-bit, and the full-view engine matches the reference executor.
 func TestClusterViewEquivalenceFullView(t *testing.T) {
 	base := crossCheck(t, viewsConfig(33, nil, 0), runFor(3))
-	for _, link := range links {
-		// 48 is the whole pool, so no channel's pool can exceed it.
-		got := runEpochs(t, viewsConfig(33, link, 48), 3)
-		for e := range base {
-			if got[e] != base[e] {
-				t.Fatalf("backend=%s epoch %d diverges:\n got  %+v\n want %+v", backendName(link), e, got[e], base[e])
-			}
+	// 48 is the whole pool, so no channel's pool can exceed it.
+	got := runEpochs(t, viewsConfig(33, nil, 48), 3)
+	for e := range base {
+		if got[e] != base[e] {
+			t.Fatalf("epoch %d diverges:\n got  %+v\n want %+v", e, got[e], base[e])
 		}
 	}
 }
 
-// With partial views engaged (ViewSize below the pool sizes) the two
-// backends, inline and pooled stepping must still agree bit-for-bit: view
-// sampling and refresh run on per-peer streams inside each channel's
-// system, so neither the channel fork nor the message-passing runtime can
-// perturb them. The scenario keeps switching, a flash crowd and
-// re-allocation epochs on, so views compose with every churn source.
+// With partial views engaged (ViewSize below the pool sizes), runs with
+// no link and behind a perfect link, with the managers inline and forked,
+// must agree bit-for-bit: view sampling and refresh run on per-peer
+// streams inside each channel's system, so neither the manager fork nor
+// the link path can perturb them. (The reference executor has no views.)
+// The scenario keeps switching, a flash crowd and re-allocation epochs
+// on, so views compose with every churn source.
 func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	run := func(link distsim.LinkModel, procs int) []EpochMetrics {
 		c, err := New(viewsConfig(101, link, 4))
@@ -65,24 +64,18 @@ func TestClusterPartialViewsBitIdenticalAcrossWorkersAndBackends(t *testing.T) {
 	if moves == 0 || switches == 0 {
 		t.Fatalf("scenario inert (moves=%d switches=%d); parity test does not cover view-aware migration", moves, switches)
 	}
-	pooled := run(nil, 4)
-	for e := range base {
-		if pooled[e] != base[e] {
-			t.Fatalf("pool epoch %d diverges:\n got  %+v\n want %+v", e, pooled[e], base[e])
-		}
-	}
 	for _, procs := range []int{1, 4} {
-		dist := run(distsim.Lossy{}, procs)
+		got := run(distsim.Lossy{}, procs)
 		for e := range base {
-			if dist[e] != base[e] {
-				t.Fatalf("distsim (managers forked on %d lanes) epoch %d diverges:\n got  %+v\n want %+v", procs, e, dist[e], base[e])
+			if got[e] != base[e] {
+				t.Fatalf("managers forked on %d lanes: epoch %d diverges:\n got  %+v\n want %+v", procs, e, got[e], base[e])
 			}
 		}
 	}
 }
 
-// Partial views must also hold through trace replay (joins, leaves, zaps)
-// on both backends.
+// Partial views must also hold through trace replay (joins, leaves, zaps),
+// with no link and behind a perfect link.
 func TestClusterPartialViewsReplayBitIdentical(t *testing.T) {
 	w := churnWorkload(t, 80, 12)
 	run := func(link distsim.LinkModel) []EpochMetrics {
@@ -97,17 +90,17 @@ func TestClusterPartialViewsReplayBitIdentical(t *testing.T) {
 		}
 		return out
 	}
-	mem, dist := run(nil), run(distsim.Lossy{})
-	if len(mem) == 0 || len(mem) != len(dist) {
-		t.Fatalf("epoch counts: %d vs %d", len(mem), len(dist))
+	base, perfect := run(nil), run(distsim.Lossy{})
+	if len(base) == 0 || len(base) != len(perfect) {
+		t.Fatalf("epoch counts: %d vs %d", len(base), len(perfect))
 	}
-	for e := range mem {
-		if mem[e] != dist[e] {
-			t.Fatalf("epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], mem[e])
+	for e := range base {
+		if base[e] != perfect[e] {
+			t.Fatalf("epoch %d diverges:\n perfect link %+v\n no link      %+v", e, perfect[e], base[e])
 		}
 	}
 	joined := 0
-	for _, m := range mem {
+	for _, m := range base {
 		joined += m.Joins
 	}
 	if joined == 0 {

@@ -956,8 +956,8 @@ func (s *System) SelectStage() (actions []int, loads []int, err error) {
 // realized helper capacities (len must equal NumHelpers): rates are
 // divided out, bandit feedback is delivered, and the stage metrics are
 // computed exactly as Step would — the arithmetic is the same code path,
-// so a distributed run that feeds back the true capacities reproduces the
-// shared-memory trajectory bit-identically. The result's slices alias
+// so a distributed run that feeds back the true capacities reproduces
+// Step's trajectory bit-identically. The result's slices alias
 // internal buffers, as with Step.
 func (s *System) FinishStage(caps []float64) (StageResult, error) {
 	var res StageResult

@@ -18,9 +18,8 @@
 //     process boundary.
 //   - A helper node per pool helper keeps only what survives a change of
 //     owner: its id, the link model and its private link stream. Its
-//     Markov bandwidth process lives in the owning channel's system, which
-//     builds a fresh one when the helper migrates in — exactly as the
-//     shared-memory engine's AddHelper does.
+//     Markov bandwidth process lives in the owning channel's system, whose
+//     AddHelper builds a fresh one when the helper migrates in.
 //   - The coordinator (the caller, driving StepRound) steps the managers
 //     and aggregates their reports. Membership and migration calls queue
 //     ops that each manager applies at the start of the next round in call
@@ -41,7 +40,7 @@
 //     bandwidth process once, reads its capacity, and replies — one reply
 //     per pool helper;
 //  4. realizes rates (C_j/load_j via core.FinishStage — the exact
-//     arithmetic of the shared-memory engine), feeds its learners, ticks
+//     arithmetic of core's whole-stage Step), feeds its learners, ticks
 //     playout buffers, and reports the channel's aggregates — one report
 //     per channel.
 //
@@ -67,8 +66,9 @@
 // partitions over fault domains; plan verdicts are applied after the
 // link draw is consumed, so faulty runs replay the exact random streams
 // of fault-free ones. With a nil LinkModel and nil FaultPlan the runtime
-// consumes no extra randomness and reproduces the shared-memory cluster
-// engine bit-identically (see internal/cluster's distsim backend).
+// consumes no randomness beyond each channel's own game, which is what
+// internal/cluster's tests cross-check against their naive reference
+// executor stage by stage.
 package distsim
 
 import (
@@ -118,8 +118,7 @@ type Config struct {
 	UtilityScale float64
 	// ViewSize bounds each peer's helper candidate view (see
 	// core.Config.ViewSize); 0 keeps full views. Applied per channel
-	// against the channel's own pool size, exactly as the shared-memory
-	// cluster backend does, so the two backends stay bit-identical.
+	// against the channel's own pool size.
 	ViewSize int
 	// ViewRefresh is the partial-view refresh period in stages (see
 	// core.Config.ViewRefresh; 0 = default, negative disables).
@@ -398,7 +397,7 @@ func (m *manager) step(round int) {
 }
 
 // applyOps applies the round's queued membership/migration operations in
-// enqueue order, mirroring the shared-memory engine's call sequence.
+// enqueue order, the order the caller issued them in.
 func (m *manager) applyOps() {
 	for _, o := range m.ops {
 		switch o.kind {
@@ -440,8 +439,7 @@ func (m *manager) applyOps() {
 				return
 			}
 			// Ownership hand-off: the node joins this pool with the fresh
-			// process this channel's system just built (drawn from its
-			// stream, exactly as the shared-memory engine's AddHelper does).
+			// process this channel's system just built from its stream.
 			local := m.sys.NumHelpers() - 1
 			m.out.Msgs++ // ownership hand-off
 			m.pool = append(m.pool, poolHelper{
@@ -634,11 +632,6 @@ func (m *manager) bufferErr(err error) error {
 // second core saves. It is the smallest measured shape where two lanes
 // won at least 7 of 8 pairs (PERF.md "The fork-join executor").
 const poolMinWork = 16000
-
-// PoolGate returns the gate a round's channels fork behind: lanes up to
-// GOMAXPROCS once a round reaches poolMinWork. The cluster's
-// shared-memory backend steps its channels behind the same gate.
-func PoolGate() forkjoin.Gate { return forkjoin.NewGate(poolMinWork) }
 
 // Runtime owns the nodes of one distributed deployment. Drive it with
 // StepRound and release it with Close; ops enqueued between rounds are

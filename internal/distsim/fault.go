@@ -34,7 +34,7 @@ type Partition struct {
 // consumes no randomness, and fault verdicts are applied after the link
 // draws so a run with a plan consumes the exact random streams of the
 // same run without one: lossy faulty runs stay bit-reproducible for a
-// fixed (Config, LinkSeed), however the nodes' goroutines are scheduled.
+// fixed (Config, LinkSeed), however the managers are forked.
 type FaultPlan struct {
 	// HelperDomains maps each global helper id to its fault domain (nil
 	// places every helper in domain 0). Length must match Config.Helpers.

@@ -61,10 +61,8 @@ type ClusterScenario struct {
 	Allocator   cluster.AllocatorKind
 	Seed        uint64
 	// LinkDrop/LinkDelay/LinkMaxDelay parameterize the distsim lossy link
-	// model (both zero disables). LinkSeed derives the link streams. A
-	// link, a fault plan or a detector makes the built cluster run on the
-	// distsim backend (see cluster.Config.Link); Close it to join its node
-	// goroutines.
+	// model (both zero keeps links perfect; see cluster.Config.Link).
+	// LinkSeed derives the link streams.
 	LinkDrop     float64
 	LinkDelay    float64
 	LinkMaxDelay int
@@ -231,6 +229,12 @@ func (s ClusterScenario) Workload() (*trace.Workload, error) {
 func (s ClusterScenario) Build() (cluster.Config, error) {
 	if s.Helpers < 0 {
 		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: Helpers=%d", s.Helpers)
+	}
+	// The scenario's horizon and churn trace are EpochStages × Epochs, so
+	// it must hold stages; the cluster's own default (0 = 50) is not the
+	// scenario's.
+	if s.EpochStages < 1 {
+		return cluster.Config{}, fmt.Errorf("experiment: cluster scenario: EpochStages=%d must be at least 1", s.EpochStages)
 	}
 	if s.PartitionUntil > s.PartitionFrom {
 		// Helpers stripe as h mod FaultDomains (channel managers sit in

@@ -7,10 +7,13 @@ import (
 	"rths/internal/distsim"
 )
 
-// TestPresetsBitIdenticalOnDistsim is the presets' backend-parity pin. The
-// small, churn and views presets build the memory backend; the same config
-// with a perfect link runs on distsim and must emit exactly the same epoch
-// records. The churn preset replays its workload, as rths-cluster does.
+// TestPresetsBitIdenticalOnDistsim is the presets' link-parity pin. The
+// small, churn and views presets set no link; the same config behind a
+// perfect link (distsim.Lossy{}), which runs every link verdict but drops,
+// delays and draws nothing, must emit exactly the same epoch records. The
+// churn preset replays its workload, as rths-cluster does. (The cluster
+// package cross-checks the small and churn presets against its reference
+// executor, TestPresetsMatchReference.)
 func TestPresetsBitIdenticalOnDistsim(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,13 +53,13 @@ func TestPresetsBitIdenticalOnDistsim(t *testing.T) {
 				}
 				return out
 			}
-			mem, dist := run(nil), run(distsim.Lossy{})
-			if len(mem) != s.Epochs || len(dist) != len(mem) {
-				t.Fatalf("epoch counts: memory %d, distsim %d, want %d", len(mem), len(dist), s.Epochs)
+			base, perfect := run(nil), run(distsim.Lossy{})
+			if len(base) != s.Epochs || len(perfect) != len(base) {
+				t.Fatalf("epoch counts: no link %d, perfect link %d, want %d", len(base), len(perfect), s.Epochs)
 			}
-			for e := range mem {
-				if dist[e] != mem[e] {
-					t.Fatalf("epoch %d diverges:\n distsim %+v\n memory  %+v", e, dist[e], mem[e])
+			for e := range base {
+				if perfect[e] != base[e] {
+					t.Fatalf("epoch %d diverges:\n perfect link %+v\n no link      %+v", e, perfect[e], base[e])
 				}
 			}
 		})

@@ -85,6 +85,12 @@ type ChurnConfig struct {
 	Seed uint64
 }
 
+// maxEvents bounds a generated trace, so a finite but huge rate fails
+// with an error instead of exhausting memory. It sits far above every
+// preset and benchmark trace (the largest, the faults-live benchmark's,
+// holds about 6,000 events; the test traces up to about 23,000).
+const maxEvents = 1 << 20
+
 // validate rejects every out-of-range field. Each float check is written
 // so NaN fails it too: a NaN rate or lifetime would otherwise switch a
 // feature off silently or panic deep inside generation.
@@ -94,6 +100,10 @@ func (c ChurnConfig) validate() error {
 	}
 	if !(c.ArrivalRate >= 0 && c.ArrivalRate <= math.MaxFloat64) {
 		return fmt.Errorf("trace: ArrivalRate=%g must be finite and non-negative", c.ArrivalRate)
+	}
+	if arrivals := c.ArrivalRate * float64(c.Horizon); arrivals > maxEvents {
+		return fmt.Errorf("trace: ArrivalRate=%g over Horizon=%d expects %g arrivals, above the %d-event bound",
+			c.ArrivalRate, c.Horizon, arrivals, maxEvents)
 	}
 	if !(c.MeanLifetime > 0 && c.MeanLifetime <= math.MaxFloat64) {
 		return fmt.Errorf("trace: MeanLifetime=%g must be finite and positive", c.MeanLifetime)
@@ -185,6 +195,10 @@ func GenerateChurn(cfg ChurnConfig) (*Workload, error) {
 		}
 		if len(active) > peak {
 			peak = len(active)
+		}
+		if len(events) > maxEvents {
+			return nil, fmt.Errorf("trace: ArrivalRate=%g and SwitchRate=%g generate more than %d events by stage %d",
+				cfg.ArrivalRate, cfg.SwitchRate, maxEvents, stage)
 		}
 	}
 	sort.SliceStable(events, func(i, j int) bool {

@@ -30,6 +30,8 @@ func TestConfigValidation(t *testing.T) {
 		{"arrival", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = -1 }},
 		{"arrival NaN", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = nan }},
 		{"arrival +Inf", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = inf }},
+		// Finite but far past the event bound: rejected before generating.
+		{"arrival 1e9", "ArrivalRate", func(c *ChurnConfig) { c.ArrivalRate = 1e9 }},
 		{"lifetime", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = 0 }},
 		{"lifetime NaN", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = nan }},
 		{"lifetime +Inf", "MeanLifetime", func(c *ChurnConfig) { c.MeanLifetime = inf }},
@@ -51,6 +53,16 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("error %q does not name %s", err, tc.field)
 			}
 		})
+	}
+}
+
+// Arrivals within the bound can still zap past it: peers that never
+// leave switch channels every few stages, so the switch events grow with
+// the square of the horizon. Generation stops at the bound with an error.
+func TestGenerateChurnBoundsSwitchEvents(t *testing.T) {
+	cfg := ChurnConfig{Horizon: 2000, ArrivalRate: 10, MeanLifetime: 1e9, Channels: 4, SwitchRate: 0.5, Seed: 1}
+	if _, err := GenerateChurn(cfg); err == nil || !strings.Contains(err.Error(), "ArrivalRate") {
+		t.Fatalf("err = %v, want the event bound naming ArrivalRate", err)
 	}
 }
 

@@ -179,8 +179,8 @@ type (
 	ClusterAllocator = cluster.AllocatorKind
 	// ClusterDetector enables failure-aware eviction: helpers missing
 	// consecutive capacity replies are evicted through the churn path and
-	// readmitted after probation. Like ClusterConfig.Link and .Faults,
-	// setting it runs the cluster on the distsim message-passing backend.
+	// readmitted after probation, from the distsim runtime's
+	// capacity-reply ledger.
 	ClusterDetector = cluster.DetectorConfig
 	// ClusterScenario parameterizes the cluster presets.
 	ClusterScenario = experiment.ClusterScenario
@@ -226,8 +226,8 @@ const (
 
 // NewDistsim builds the batched multi-channel message-passing runtime
 // directly, for custom deployments and lossy-link experiments. The
-// cluster engine drives it whenever any of ClusterConfig.Link, .Faults or
-// .Detector is set; a perfect link (LossyLink{}) runs it at zero loss.
+// cluster engine runs every channel on it; a nil link or a perfect one
+// (LossyLink{}) runs it at zero loss.
 func NewDistsim(cfg DistsimConfig) (*DistsimRuntime, error) { return distsim.New(cfg) }
 
 // NewLossyLink validates and builds the iid drop/delay link model for
