@@ -205,11 +205,9 @@ func defaultClusterScenarios(full bool) []clusterSpec {
 	specs := []clusterSpec{
 		{name: "cluster-small-seq", channels: 8, peers: 240, helpers: 16},
 		{name: "cluster-mid-seq", channels: 20, peers: 1000, helpers: 40},
-		// The link pair: the same 4-channel, N=1k deployment on the batched
-		// message-passing runtime with no link (-seq) and behind a perfect
-		// link (-distsim), which adjudicates every message but drops and
-		// draws nothing. Both rows once ran on different backends; the
-		// names and the baseline stay.
+		// The link pair: the same 4-channel, N=1k deployment with no link
+		// (-seq) and behind a perfect link (-distsim), which adjudicates
+		// every message but drops, delays and draws nothing.
 		{name: "cluster-4ch-seq", channels: 4, peers: 1000, helpers: 16},
 		{name: "cluster-4ch-distsim", channels: 4, peers: 1000, helpers: 16, distsim: true},
 		// The churn-replay pair: the same deployment driven by a generated

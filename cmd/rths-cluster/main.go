@@ -52,7 +52,7 @@
 // helper for an unseen one, so learner state stays O(view²) however deep
 // the channel pools grow. 0 keeps full views.
 //
-// -preset faults runs the distsim backend under an injected fault plan:
+// -preset faults runs the cluster under an injected fault plan:
 // lossy queueing links, one fail-stop helper crash, and a correlated
 // regional partition isolating one fault domain of helpers mid-run,
 // with the cluster's failure detector evicting unresponsive helpers and

@@ -31,7 +31,7 @@ func newDistBackend(c *Cluster, cfg Config, seeds []uint64) (backend, error) {
 	rt, err := distsim.New(distsim.Config{
 		Channels:     channels,
 		Helpers:      cfg.Helpers,
-		Assign:       append([]int(nil), c.assign...),
+		Assign:       c.assign,
 		Factory:      cfg.Factory,
 		UtilityScale: c.scale,
 		ViewSize:     cfg.ViewSize,

@@ -153,11 +153,11 @@ type Config struct {
 	// migration touches only the viewers whose views contain the moved
 	// helper. 0 keeps full views (today's behavior bit-for-bit). The
 	// bound follows core's engagement discipline, applied per channel:
-	// views engage in a channel when its
-	// pool exceeds ViewSize — at construction if the initial pool is
-	// already larger, or lazily when migration first grows the pool past
-	// the bound (resident learners then shrink their views down to
-	// ViewSize, keeping their highest-probability helpers).
+	// views engage in a channel when its pool exceeds ViewSize — at
+	// construction if the initial pool is already larger, or lazily when
+	// migration first grows the pool past the bound (resident learners
+	// then shrink their views down to ViewSize, keeping their
+	// highest-probability helpers).
 	ViewSize int
 	// ViewRefresh is the partial-view refresh period in stages (see
 	// core.Config.ViewRefresh; 0 = default, negative disables).

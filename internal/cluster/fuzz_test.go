@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 
 	"rths/internal/core"
@@ -11,10 +10,11 @@ import (
 // Switch, StepStage and RunEpoch, whose boundary migrates helpers — on a
 // small full-view cluster, and runs it on distsim and on the reference
 // executor side by side. After every stage the two must agree as
-// crossCheck requires, and distsim must keep its invariants: every helper
-// sits in exactly one channel's pool, matching Assignment and
-// ChannelPool; every channel holds an arena slot per peer; every strategy
-// is on the simplex; and welfare never exceeds the optimum.
+// crossCheck requires, and both must keep the invariants their tapes
+// check: every helper sits in exactly one channel's pool, the one
+// Assignment and ChannelPool report; every channel holds an arena slot
+// per peer; every strategy is on the simplex; and welfare never exceeds
+// the optimum.
 //
 // Byte 0 picks the allocator, switching and the epoch length, bytes 1–3
 // the initial audiences; every later byte is an op (low digit in base 5)
@@ -75,8 +75,8 @@ func FuzzClusterOps(f *testing.F) {
 					_, err := c.StepStage()
 					return err
 				})
-				w.checkStages(t)
-				w.checkPools(t)
+				w.compareStages(t)
+				w.compareLearners(t)
 			case 4:
 				var epochs []EpochMetrics
 				w.both(t, func(c *Cluster) error {
@@ -84,7 +84,8 @@ func FuzzClusterOps(f *testing.F) {
 					epochs = append(epochs, m)
 					return err
 				})
-				w.checkStages(t)
+				w.compareStages(t)
+				w.compareLearners(t)
 				compareEpochs(t, epochs[:1], epochs[1:])
 			}
 		}
@@ -101,74 +102,5 @@ func (w *twin) both(t *testing.T, op func(*Cluster) error) {
 	}
 	if derr != nil {
 		t.Fatalf("both failed: %v", derr)
-	}
-}
-
-// checkStages cross-checks the stages stepped since the last check and
-// the learners, then checks that each of those stages kept welfare at
-// most the optimum and every strategy on the simplex.
-func (w *twin) checkStages(t *testing.T) {
-	t.Helper()
-	from := w.compared
-	w.compareStages(t)
-	w.compareLearners(t)
-	for s := from; s < len(w.dtape.stages); s++ {
-		for ci, ch := range w.dtape.stages[s] {
-			if ch.res.Welfare > ch.res.OptWelfare*(1+refTol) {
-				t.Fatalf("stage %d channel %d: welfare %v above optimum %v", s, ci, ch.res.Welfare, ch.res.OptWelfare)
-			}
-		}
-	}
-	for _, tp := range []*tape{w.dtape, w.rtape} {
-		for ci, peers := range tp.strategies {
-			for i, p := range peers {
-				sum := 0.0
-				for _, v := range p {
-					if !(v >= 0) {
-						t.Fatalf("channel %d peer %d: probability %v", ci, i, v)
-					}
-					sum += v
-				}
-				if math.Abs(sum-1) > 1e-9 {
-					t.Fatalf("channel %d peer %d: strategy sums to %v", ci, i, sum)
-				}
-			}
-		}
-	}
-}
-
-// checkPools checks, right after a stage (no boundary since), that every
-// helper sits in exactly one distsim pool, in the pool Assignment and
-// ChannelPool report and in the reference's order, and that every channel
-// keeps an arena slot per peer.
-func (w *twin) checkPools(t *testing.T) {
-	t.Helper()
-	last := w.dtape.backend.(*distBackend).last
-	ref := w.rtape.backend.(*refBackend)
-	assign := w.dist.Assignment()
-	seen := make([]int, len(assign))
-	for ci := range last.Channels {
-		ids := last.Channels[ci].PoolIDs
-		if len(ids) != w.dist.ChannelPool(ci) || len(ids) != len(ref.channels[ci].helpers) {
-			t.Fatalf("channel %d: pool %v, ChannelPool %d, reference %d helpers",
-				ci, ids, w.dist.ChannelPool(ci), len(ref.channels[ci].helpers))
-		}
-		for j, h := range ids {
-			seen[h]++
-			if assign[h] != ci || ref.channels[ci].helpers[j].id != h {
-				t.Fatalf("channel %d slot %d holds helper %d, assigned to %d (reference holds %d)",
-					ci, j, h, assign[h], ref.channels[ci].helpers[j].id)
-			}
-		}
-		sys := channelSystem(w.dist, ci)
-		if sys.LearnerArena().Len() != sys.NumPeers() || sys.NumPeers() != w.dist.ChannelAudience(ci) {
-			t.Fatalf("channel %d: %d arena slots for %d peers, audience %d",
-				ci, sys.LearnerArena().Len(), sys.NumPeers(), w.dist.ChannelAudience(ci))
-		}
-	}
-	for h, n := range seen {
-		if n != 1 {
-			t.Fatalf("helper %d sits in %d pools", h, n)
-		}
 	}
 }

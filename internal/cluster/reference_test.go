@@ -252,10 +252,12 @@ func (b *refBackend) close() error {
 }
 
 // tape wraps a backend and records every stage it steps: each channel's
-// stage view and stage data, and every peer's strategy after the latest
-// stage (by channel, then peer).
+// stage view, stage data and pool, and every peer's strategy after the
+// latest stage (by channel, then peer). It also checks the invariants
+// every stage must keep, and fails the step when one breaks.
 type tape struct {
 	backend
+	c          *Cluster
 	stages     [][]tapedChannel
 	strategies [][][]float64
 }
@@ -263,6 +265,7 @@ type tape struct {
 type tapedChannel struct {
 	res  core.StageResult
 	data stageData
+	pool []int // the backend's pool as global helper ids, in local order
 }
 
 func (tp *tape) step(out []stageData) error {
@@ -270,28 +273,71 @@ func (tp *tape) step(out []stageData) error {
 		return err
 	}
 	row := make([]tapedChannel, len(out))
-	for ci := range out {
-		row[ci] = tapedChannel{tp.backend.lastResult(ci).Clone(), out[ci]}
-	}
-	tp.stages = append(tp.stages, row)
 	tp.strategies = tp.strategies[:0]
-	switch b := tp.backend.(type) {
-	case *refBackend:
-		for _, ch := range b.channels {
-			var probs [][]float64
-			for _, l := range ch.learners {
+	for ci := range out {
+		row[ci] = tapedChannel{res: tp.backend.lastResult(ci).Clone(), data: out[ci]}
+		var probs [][]float64
+		switch b := tp.backend.(type) {
+		case *refBackend:
+			for _, h := range b.channels[ci].helpers {
+				row[ci].pool = append(row[ci].pool, h.id)
+			}
+			for _, l := range b.channels[ci].learners {
 				probs = append(probs, l.Probabilities())
 			}
-			tp.strategies = append(tp.strategies, probs)
-		}
-	case *distBackend:
-		for ci := range out {
+		case *distBackend:
+			row[ci].pool = slices.Clone(b.last.Channels[ci].PoolIDs)
 			sys := b.rt.System(ci)
-			var probs [][]float64
+			if sys.LearnerArena().Len() != sys.NumPeers() {
+				return fmt.Errorf("channel %d: %d arena slots for %d peers", ci, sys.LearnerArena().Len(), sys.NumPeers())
+			}
 			for i := 0; i < sys.NumPeers(); i++ {
 				probs = append(probs, sys.Selector(i).(*regret.Learner).Probabilities())
 			}
-			tp.strategies = append(tp.strategies, probs)
+		}
+		tp.strategies = append(tp.strategies, probs)
+	}
+	tp.stages = append(tp.stages, row)
+	return tp.invariants(row)
+}
+
+// invariants checks one stage against the director and the game: every
+// helper in exactly one pool, the pool the director and Assignment name;
+// a strategy per viewer, on the simplex; welfare at most the optimum.
+func (tp *tape) invariants(row []tapedChannel) error {
+	pools := make([]int, len(tp.c.helpers))
+	for ci, ch := range row {
+		if want := tp.c.channels[ci].helperIDs; !slices.Equal(ch.pool, want) {
+			return fmt.Errorf("channel %d: pool %v, director's %v", ci, ch.pool, want)
+		}
+		for _, h := range ch.pool {
+			pools[h]++
+			if tp.c.assign[h] != ci {
+				return fmt.Errorf("channel %d holds helper %d, assigned to %d", ci, h, tp.c.assign[h])
+			}
+		}
+		if got, want := len(tp.strategies[ci]), len(tp.c.channels[ci].peerIDs); got != want {
+			return fmt.Errorf("channel %d: %d learners for %d viewers", ci, got, want)
+		}
+		for i, p := range tp.strategies[ci] {
+			sum := 0.0
+			for _, v := range p {
+				if !(v >= 0) {
+					return fmt.Errorf("channel %d peer %d: probability %v", ci, i, v)
+				}
+				sum += v
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				return fmt.Errorf("channel %d peer %d: strategy sums to %v", ci, i, sum)
+			}
+		}
+		if ch.res.Welfare > ch.res.OptWelfare*(1+refTol) {
+			return fmt.Errorf("channel %d: welfare %v above optimum %v", ci, ch.res.Welfare, ch.res.OptWelfare)
+		}
+	}
+	for h, n := range pools {
+		if n != 1 {
+			return fmt.Errorf("helper %d sits in %d pools", h, n)
 		}
 	}
 	return nil
@@ -305,7 +351,7 @@ func taped(build newBackend, tp **tape) newBackend {
 		if err != nil {
 			return nil, err
 		}
-		*tp = &tape{backend: b}
+		*tp = &tape{backend: b, c: c}
 		return *tp, nil
 	}
 }
@@ -379,6 +425,9 @@ func compareStage(d, r tapedChannel) error {
 	}
 	if !slices.EqualFunc(d.res.Rates, r.res.Rates, near) {
 		return fmt.Errorf("rates differ:\n distsim   %v\n reference %v", d.res.Rates, r.res.Rates)
+	}
+	if !slices.Equal(d.pool, r.pool) {
+		return fmt.Errorf("pools differ: distsim %v, reference %v", d.pool, r.pool)
 	}
 	for _, f := range []struct {
 		name string

@@ -168,7 +168,7 @@ func ClusterViews() ClusterScenario {
 }
 
 // ClusterFaults is the fault-injection and recovery preset: the
-// laptop-scale shape on the distsim backend with mildly lossy queueing
+// laptop-scale shape with mildly lossy queueing
 // links, the helper pool striped across three fault domains, one
 // fail-stop helper crash with recovery, a regional partition cutting a
 // third of the pool off for two epochs, and the failure detector

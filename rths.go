@@ -277,9 +277,8 @@ func ClusterViews() ClusterScenario { return experiment.ClusterViews() }
 // queueing links, the helper pool striped across fault domains, a
 // scheduled fail-stop helper crash, a regional partition over two epochs,
 // and the failure detector evicting unresponsive helpers and readmitting
-// them after probation. Its link, fault plan and detector run it on the
-// distsim backend. Set DetectorSuspect = 0 for the detector-disabled
-// baseline.
+// them after probation. Set DetectorSuspect = 0 for the
+// detector-disabled baseline.
 func ClusterFaults() ClusterScenario { return experiment.ClusterFaults() }
 
 // DefaultViewRefresh is the default partial-view refresh period in stages
