@@ -91,7 +91,7 @@ func TestMigrateSwapLastHelpers(t *testing.T) {
 		t.Fatalf("post-swap pools %d/%d", c.ChannelPool(0), c.ChannelPool(1))
 	}
 	// The cluster must keep stepping cleanly on the swapped pools (the
-	// distsim backend applies the queued ops here).
+	// runtime applies the queued ops here).
 	if _, err := c.RunEpoch(); err != nil {
 		t.Fatalf("epoch after swap: %v", err)
 	}

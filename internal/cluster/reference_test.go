@@ -437,10 +437,6 @@ func compareStage(d, r tapedChannel) error {
 		{"OptWelfare", d.res.OptWelfare, r.res.OptWelfare},
 		{"ServerLoad", d.res.ServerLoad, r.res.ServerLoad},
 		{"MinDeficit", d.res.MinDeficit, r.res.MinDeficit},
-		{"welfare", d.data.welfare, r.data.welfare},
-		{"opt", d.data.opt, r.data.opt},
-		{"serverLoad", d.data.serverLoad, r.data.serverLoad},
-		{"minDeficit", d.data.minDeficit, r.data.minDeficit},
 	} {
 		if !near(f.d, f.r) {
 			return fmt.Errorf("%s %v vs %v", f.name, f.d, f.r)
@@ -478,21 +474,13 @@ func compareEpochs(t testing.TB, dist, ref []EpochMetrics) {
 	}
 	for e := range dist {
 		d, r := dist[e], ref[e]
-		floats := [][2]*float64{
-			{&d.WelfareRatio, &r.WelfareRatio},
-			{&d.MeanServerLoad, &r.MeanServerLoad},
-			{&d.MeanMinDeficit, &r.MeanMinDeficit},
-			{&d.Continuity, &r.Continuity},
-			{&d.MaxDeficit, &r.MaxDeficit},
-			{&d.MeanTimeToRecover, &r.MeanTimeToRecover},
-		}
-		for _, f := range floats {
-			if !near(*f[0], *f[1]) {
-				t.Fatalf("epoch %d diverges:\n distsim   %+v\n reference %+v", e, d, r)
-			}
-			*f[0] = *f[1] // what remains must match exactly
-		}
-		if d != r {
+		ok := near(d.WelfareRatio, r.WelfareRatio) && near(d.MeanServerLoad, r.MeanServerLoad) &&
+			near(d.MeanMinDeficit, r.MeanMinDeficit) && near(d.Continuity, r.Continuity) &&
+			near(d.MaxDeficit, r.MaxDeficit) && near(d.MeanTimeToRecover, r.MeanTimeToRecover)
+		// With the floats matched, every other field must be equal.
+		d.WelfareRatio, d.MeanServerLoad, d.MeanMinDeficit = r.WelfareRatio, r.MeanServerLoad, r.MeanMinDeficit
+		d.Continuity, d.MaxDeficit, d.MeanTimeToRecover = r.Continuity, r.MaxDeficit, r.MeanTimeToRecover
+		if !ok || d != r {
 			t.Fatalf("epoch %d diverges:\n distsim   %+v\n reference %+v", e, dist[e], ref[e])
 		}
 	}
