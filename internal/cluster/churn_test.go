@@ -80,13 +80,13 @@ func TestChurnOpsGlobalIDs(t *testing.T) {
 	if err := c.join(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, taken := c.byPeer[5]; !taken {
+	if _, taken := c.viewer(5); !taken {
 		t.Fatal("scenario join skipped the lowest free id")
 	}
 	if err := c.join(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, taken := c.byPeer[6]; !taken {
+	if _, taken := c.viewer(6); !taken {
 		t.Fatal("scenario ids not sequential")
 	}
 	// The churned membership steps cleanly (distsim applies the queued

@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"rths/internal/alloc"
@@ -269,11 +270,6 @@ type EpochMetrics struct {
 	MeanTimeToRecover float64 `json:"mean_time_to_recover"`
 }
 
-type location struct {
-	channel int
-	local   int
-}
-
 type globalHelper struct {
 	spec core.HelperSpec
 	// expCap is the stationary-expected capacity: the sticky level chain's
@@ -362,13 +358,15 @@ type Cluster struct {
 	channels []*channel
 	helpers  []globalHelper
 	assign   alloc.Assignment // helper -> channel
-	byPeer   map[int]location
 
 	backend backend
 
 	// viewerIDs lists active viewers in ascending global id — the
-	// deterministic iteration order of the switching pass.
+	// deterministic iteration order of the switching pass — and viewerCh
+	// holds each one's channel, by position. Ops find a viewer by binary
+	// search; its local index is its position in its channel's peerIDs.
 	viewerIDs []int
+	viewerCh  []int
 
 	allocator   AllocatorKind
 	epochStages int
@@ -496,7 +494,6 @@ func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{
-		byPeer:      make(map[int]location),
 		allocator:   cfg.Allocator,
 		epochStages: cfg.EpochStages,
 		hysteresis:  cfg.Hysteresis,
@@ -568,8 +565,8 @@ func newCluster(cfg Config, build newBackend) (*Cluster, error) {
 		}
 		for i := 0; i < spec.InitialPeers; i++ {
 			st.peerIDs = append(st.peerIDs, c.nextID)
-			c.byPeer[c.nextID] = location{channel: ci, local: i}
 			c.viewerIDs = append(c.viewerIDs, c.nextID)
+			c.viewerCh = append(c.viewerCh, ci)
 			c.nextID++
 		}
 		c.channels = append(c.channels, st)
@@ -658,7 +655,7 @@ func (c *Cluster) NumChannels() int { return len(c.channels) }
 func (c *Cluster) NumHelpers() int { return len(c.helpers) }
 
 // ActivePeers returns the total audience size.
-func (c *Cluster) ActivePeers() int { return len(c.byPeer) }
+func (c *Cluster) ActivePeers() int { return len(c.viewerIDs) }
 
 // ChannelAudience returns the number of viewers watching channel ci.
 func (c *Cluster) ChannelAudience(ci int) int { return len(c.channels[ci].peerIDs) }
@@ -823,13 +820,12 @@ func (c *Cluster) step() error {
 	if c.switchChain != nil {
 		// Iterate in ascending global id so the shared viewer RNG stream is
 		// consumed in a reproducible order.
-		for _, id := range c.viewerIDs {
-			cur := c.byPeer[id].channel
+		for k, cur := range c.viewerCh {
 			next := c.switchChain.Step(c.viewerRng, cur)
 			if next == cur {
 				continue
 			}
-			if err := c.move(id, next); err != nil {
+			if err := c.move(k, next); err != nil {
 				return err
 			}
 			c.switches++
@@ -844,7 +840,7 @@ func (c *Cluster) step() error {
 	}
 	if c.tel.enabled {
 		c.tel.stageSeconds.Observe(float64(c.tel.clock()-t0) / 1e9)
-		c.tel.observeStage(c.scratch, len(c.byPeer))
+		c.tel.observeStage(c.scratch, len(c.viewerIDs))
 		if p, tax, ok := c.backend.roundProfile(); ok {
 			c.tel.observeProfile(p, tax)
 		}
@@ -942,7 +938,7 @@ func (c *Cluster) StepStage() (StageTotals, error) {
 	if err := c.step(); err != nil {
 		return StageTotals{}, err
 	}
-	t := StageTotals{ActivePeers: len(c.byPeer)}
+	t := StageTotals{ActivePeers: len(c.viewerIDs)}
 	for ci := range c.scratch {
 		s := &c.scratch[ci]
 		t.Welfare += s.welfare
@@ -1012,7 +1008,7 @@ func (c *Cluster) boundary() (EpochMetrics, error) {
 	m := EpochMetrics{
 		Epoch:        c.epoch,
 		Stages:       n,
-		ActivePeers:  len(c.byPeer),
+		ActivePeers:  len(c.viewerIDs),
 		WelfareRatio: 1,
 		Continuity:   1,
 		MaxDeficit:   maxDef,
@@ -1230,12 +1226,12 @@ func (c *Cluster) migrate(next alloc.Assignment) (int, error) {
 func (c *Cluster) join(ci int) error {
 	for len(c.freeIDs) > 0 {
 		id := popMinID(&c.freeIDs)
-		if _, taken := c.byPeer[id]; !taken {
+		if _, taken := c.viewer(id); !taken {
 			return c.Join(id, ci)
 		}
 	}
 	for {
-		if _, taken := c.byPeer[c.nextID]; !taken {
+		if _, taken := c.viewer(c.nextID); !taken {
 			break
 		}
 		c.nextID++
@@ -1300,7 +1296,8 @@ func popMinID(h *[]int) int {
 // space (see trace.Workload.OffsetPeerIDs), while scenario joins (flash
 // crowds) allocate low ids of their own.
 func (c *Cluster) Join(peerID, ci int) error {
-	if _, exists := c.byPeer[peerID]; exists {
+	k, exists := c.viewer(peerID)
+	if exists {
 		return fmt.Errorf("cluster: viewer %d already active", peerID)
 	}
 	if ci < 0 || ci >= len(c.channels) {
@@ -1310,9 +1307,8 @@ func (c *Cluster) Join(peerID, ci int) error {
 	if err := c.backend.addPeer(ci); err != nil {
 		return fmt.Errorf("cluster: join channel %q: %w", st.name, err)
 	}
-	c.byPeer[peerID] = location{channel: ci, local: len(st.peerIDs)}
 	st.peerIDs = append(st.peerIDs, peerID)
-	c.insertViewer(peerID)
+	c.insertViewer(k, peerID, ci)
 	c.joins++
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindJoin)
@@ -1325,26 +1321,22 @@ func (c *Cluster) Join(peerID, ci int) error {
 
 // Leave removes the global viewer from the system.
 func (c *Cluster) Leave(peerID int) error {
-	loc, ok := c.byPeer[peerID]
+	k, ok := c.viewer(peerID)
 	if !ok {
 		return fmt.Errorf("cluster: viewer %d not active", peerID)
 	}
-	src := c.channels[loc.channel]
-	if err := c.backend.removePeer(loc.channel, loc.local); err != nil {
-		return fmt.Errorf("cluster: leave channel %q: %w", src.name, err)
+	ci := c.viewerCh[k]
+	if err := c.dropPeer(ci, peerID); err != nil {
+		return err
 	}
-	src.peerIDs = append(src.peerIDs[:loc.local], src.peerIDs[loc.local+1:]...)
-	for i := loc.local; i < len(src.peerIDs); i++ {
-		c.byPeer[src.peerIDs[i]] = location{channel: loc.channel, local: i}
-	}
-	delete(c.byPeer, peerID)
-	c.removeViewer(peerID)
+	c.viewerIDs = slices.Delete(c.viewerIDs, k, k+1)
+	c.viewerCh = slices.Delete(c.viewerCh, k, k+1)
 	c.pushFreeID(peerID)
 	c.leaves++
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindLeave)
 		e.Peer = peerID
-		e.Channel = loc.channel
+		e.Channel = ci
 		c.trace.Emit(e)
 	}
 	return nil
@@ -1355,17 +1347,17 @@ func (c *Cluster) Leave(peerID int) error {
 // channel is validated *before* the viewer leaves its current one, so a
 // failed switch leaves membership untouched instead of dropping the viewer.
 func (c *Cluster) Switch(peerID, toChannel int) error {
-	loc, ok := c.byPeer[peerID]
+	k, ok := c.viewer(peerID)
 	if !ok {
 		return fmt.Errorf("cluster: viewer %d not active", peerID)
 	}
 	if toChannel < 0 || toChannel >= len(c.channels) {
 		return fmt.Errorf("cluster: channel %d out of range", toChannel)
 	}
-	if loc.channel == toChannel {
+	if c.viewerCh[k] == toChannel {
 		return nil
 	}
-	if err := c.move(peerID, toChannel); err != nil {
+	if err := c.move(k, toChannel); err != nil {
 		return err
 	}
 	c.switches++
@@ -1456,57 +1448,50 @@ func (c *Cluster) ReplayTotals(w *trace.Workload, horizon int, observe func(Stag
 	return nil
 }
 
-// insertViewer adds id to the ascending viewer-id list (the deterministic
-// iteration order of the switching pass). Ids usually arrive in increasing
-// order, so the common case is an append.
-func (c *Cluster) insertViewer(id int) {
-	n := len(c.viewerIDs)
-	if n == 0 || c.viewerIDs[n-1] < id {
-		c.viewerIDs = append(c.viewerIDs, id)
-		return
-	}
-	at := sort.SearchInts(c.viewerIDs, id)
-	c.viewerIDs = append(c.viewerIDs, 0)
-	copy(c.viewerIDs[at+1:], c.viewerIDs[at:])
-	c.viewerIDs[at] = id
+// viewer returns the position of viewer id in the ascending index, and
+// whether it is active; an inactive id's position is where it would go.
+func (c *Cluster) viewer(id int) (k int, ok bool) {
+	return slices.BinarySearch(c.viewerIDs, id)
 }
 
-// removeViewer drops id from the ascending viewer-id list.
-func (c *Cluster) removeViewer(id int) {
-	at := sort.SearchInts(c.viewerIDs, id)
-	if at < len(c.viewerIDs) && c.viewerIDs[at] == id {
-		c.viewerIDs = append(c.viewerIDs[:at], c.viewerIDs[at+1:]...)
-	}
+// insertViewer adds viewer id, watching channel ci, at position k of the
+// ascending index. Ids usually arrive in increasing order, so the common
+// case is an append.
+func (c *Cluster) insertViewer(k, id, ci int) {
+	c.viewerIDs = slices.Insert(c.viewerIDs, k, id)
+	c.viewerCh = slices.Insert(c.viewerCh, k, ci)
 }
 
-// move switches viewer id to channel `to`: selection state and buffer are
-// fresh on arrival, since both the helper pool and the bitrate change.
-func (c *Cluster) move(id, to int) error {
-	loc, ok := c.byPeer[id]
-	if !ok {
-		return fmt.Errorf("cluster: viewer %d not active", id)
-	}
-	if loc.channel == to {
-		return nil
-	}
-	src := c.channels[loc.channel]
-	if err := c.backend.removePeer(loc.channel, loc.local); err != nil {
+// dropPeer removes viewer id from channel ci, the channel the index gives
+// it, whose peerIDs hold it at the local index the backend addresses.
+func (c *Cluster) dropPeer(ci, id int) error {
+	src := c.channels[ci]
+	local := slices.Index(src.peerIDs, id)
+	if err := c.backend.removePeer(ci, local); err != nil {
 		return fmt.Errorf("cluster: leave channel %q: %w", src.name, err)
 	}
-	src.peerIDs = append(src.peerIDs[:loc.local], src.peerIDs[loc.local+1:]...)
-	for i := loc.local; i < len(src.peerIDs); i++ {
-		c.byPeer[src.peerIDs[i]] = location{channel: loc.channel, local: i}
+	src.peerIDs = slices.Delete(src.peerIDs, local, local+1)
+	return nil
+}
+
+// move switches the viewer at position k of the index to channel `to`:
+// selection state and buffer are fresh on arrival, since both the helper
+// pool and the bitrate change.
+func (c *Cluster) move(k, to int) error {
+	id, from := c.viewerIDs[k], c.viewerCh[k]
+	if err := c.dropPeer(from, id); err != nil {
+		return err
 	}
 	dst := c.channels[to]
 	if err := c.backend.addPeer(to); err != nil {
 		return fmt.Errorf("cluster: join channel %q: %w", dst.name, err)
 	}
-	c.byPeer[id] = location{channel: to, local: len(dst.peerIDs)}
 	dst.peerIDs = append(dst.peerIDs, id)
+	c.viewerCh[k] = to
 	if c.trace != nil {
 		e := telemetry.Ev(c.stage, c.epoch, telemetry.KindSwitch)
 		e.Peer = id
-		e.Channel = loc.channel
+		e.Channel = from
 		e.To = to
 		c.trace.Emit(e)
 	}

@@ -271,13 +271,10 @@ func TestMembershipConservedUnderSwitching(t *testing.T) {
 	if got, want := c.ActivePeers(), before+flashJoins; got != want {
 		t.Fatalf("active peers %d, want %d (joins %d)", got, want, flashJoins)
 	}
-	// Audiences and the byPeer index stay consistent.
-	sum := 0
-	for ci := 0; ci < c.NumChannels(); ci++ {
-		sum += c.ChannelAudience(ci)
-	}
-	if sum != c.ActivePeers() {
-		t.Fatalf("audience sum %d vs active %d", sum, c.ActivePeers())
+	// Audiences and the viewer index stay consistent: the audiences sum
+	// to ActivePeers, and each viewer sits in the channel the index names.
+	if err := viewerIndexErr(c); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // check: every helper sits in exactly one channel's pool, the one
 // Assignment and ChannelPool report; every channel holds an arena slot
 // per peer; every strategy is on the simplex; and welfare never exceeds
-// the optimum.
+// the optimum. After every op both must also keep the director's viewer
+// index (viewerIndexErr).
 //
 // Byte 0 picks the allocator, switching and the epoch length, bytes 1–3
 // the initial audiences; every later byte is an op (low digit in base 5)
@@ -102,5 +103,10 @@ func (w *twin) both(t *testing.T, op func(*Cluster) error) {
 	}
 	if derr != nil {
 		t.Fatalf("both failed: %v", derr)
+	}
+	for _, c := range []*Cluster{w.dist, w.ref} {
+		if err := viewerIndexErr(c); err != nil {
+			t.Fatalf("viewer index: %v", err)
+		}
 	}
 }

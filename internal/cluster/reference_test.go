@@ -301,10 +301,14 @@ func (tp *tape) step(out []stageData) error {
 	return tp.invariants(row)
 }
 
-// invariants checks one stage against the director and the game: every
-// helper in exactly one pool, the pool the director and Assignment name;
-// a strategy per viewer, on the simplex; welfare at most the optimum.
+// invariants checks one stage against the director and the game: the
+// director's viewer index (viewerIndexErr); every helper in exactly one
+// pool, the pool the director and Assignment name; a strategy per viewer,
+// on the simplex; welfare at most the optimum.
 func (tp *tape) invariants(row []tapedChannel) error {
+	if err := viewerIndexErr(tp.c); err != nil {
+		return err
+	}
 	pools := make([]int, len(tp.c.helpers))
 	for ci, ch := range row {
 		if want := tp.c.channels[ci].helperIDs; !slices.Equal(ch.pool, want) {
@@ -339,6 +343,43 @@ func (tp *tape) invariants(row []tapedChannel) error {
 		if n != 1 {
 			return fmt.Errorf("helper %d sits in %d pools", h, n)
 		}
+	}
+	return nil
+}
+
+// viewerIndexErr checks the director's viewer index: viewerIDs strictly
+// ascending, with a channel per id in viewerCh, and every id in exactly one
+// channel's peerIDs, once, the channel viewerCh names. Each listed peer
+// matches a distinct indexed viewer of that channel, and the lists hold
+// as many peers as the index, so no viewer is missing either.
+func viewerIndexErr(c *Cluster) error {
+	if len(c.viewerCh) != len(c.viewerIDs) {
+		return fmt.Errorf("%d viewer ids, %d viewer channels", len(c.viewerIDs), len(c.viewerCh))
+	}
+	for k := 1; k < len(c.viewerIDs); k++ {
+		if c.viewerIDs[k-1] >= c.viewerIDs[k] {
+			return fmt.Errorf("viewer ids not ascending at %d: %v", k, c.viewerIDs)
+		}
+	}
+	seen := make([]bool, len(c.viewerIDs))
+	listed := 0
+	for ci, ch := range c.channels {
+		for _, id := range ch.peerIDs {
+			k, ok := c.viewer(id)
+			switch {
+			case !ok:
+				return fmt.Errorf("channel %d lists viewer %d, missing from the index", ci, id)
+			case c.viewerCh[k] != ci:
+				return fmt.Errorf("channel %d lists viewer %d, indexed on channel %d", ci, id, c.viewerCh[k])
+			case seen[k]:
+				return fmt.Errorf("viewer %d listed twice", id)
+			}
+			seen[k] = true
+		}
+		listed += len(ch.peerIDs)
+	}
+	if listed != len(c.viewerIDs) {
+		return fmt.Errorf("%d viewers indexed, %d listed by the channels", len(c.viewerIDs), listed)
 	}
 	return nil
 }
