@@ -983,10 +983,14 @@ func (s *System) HelperProcess(j int) *markov.Process {
 }
 
 // HelperLevels returns a copy of helper j's bandwidth levels in
-// state-index order (the node-side companion of HelperProcess).
+// state-index order.
 func (s *System) HelperLevels(j int) []float64 {
 	return append([]float64(nil), s.helpers[j].levels...)
 }
+
+// HelperCapacity returns helper j's bandwidth at its process's current
+// state (the node-side companion of HelperProcess).
+func (s *System) HelperCapacity(j int) float64 { return s.helpers[j].capacity() }
 
 // Run advances the system `stages` stages, invoking observe (if non-nil)
 // after each. The observed result's slices alias the same internal buffers

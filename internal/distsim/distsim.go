@@ -324,13 +324,13 @@ type helperNode struct {
 }
 
 // poolHelper is a manager's handle on one of its pool helpers: the node,
-// plus the bandwidth process and levels the channel's own system built
-// for it when the helper joined the pool.
+// plus the bandwidth process the channel's own system built for it when
+// the helper joined the pool. Pool index j is the system's helper j, whose
+// capacity the manager reads from the system.
 type poolHelper struct {
-	id     int
-	node   *helperNode
-	proc   *markov.Process
-	levels []float64
+	id   int
+	node *helperNode
+	proc *markov.Process
 }
 
 // manager is one channel-manager node: it hosts the channel's peers
@@ -443,10 +443,9 @@ func (m *manager) applyOps() {
 			local := m.sys.NumHelpers() - 1
 			m.out.Msgs++ // ownership hand-off
 			m.pool = append(m.pool, poolHelper{
-				id:     o.helper,
-				node:   o.node,
-				proc:   m.sys.HelperProcess(local),
-				levels: m.sys.HelperLevels(local),
+				id:   o.helper,
+				node: o.node,
+				proc: m.sys.HelperProcess(local),
 			})
 			m.caps = append(m.caps, 0)
 			m.ok = append(m.ok, false)
@@ -529,7 +528,7 @@ func (m *manager) stepRound(round int) {
 		// load or link fate, and the reply's link draw keeps the node's
 		// stream aligned.
 		ph.proc.Step()
-		m.caps[j] = ph.levels[ph.proc.State()]
+		m.caps[j] = m.sys.HelperCapacity(j)
 		if n := ph.node; n.link != nil {
 			delay, drop := n.link.Deliver(n.linkRng, round)
 			// An unreachable helper's reply never arrives, so its verdict
@@ -800,10 +799,9 @@ func New(cfg Config) (*Runtime, error) {
 			node := &rt.nodes[h]
 			*node = helperNode{id: h, link: cfg.Link}
 			m.pool = append(m.pool, poolHelper{
-				id:     h,
-				node:   node,
-				proc:   sys.HelperProcess(local),
-				levels: sys.HelperLevels(local),
+				id:   h,
+				node: node,
+				proc: sys.HelperProcess(local),
 			})
 		}
 		rt.managers = append(rt.managers, m)

@@ -190,6 +190,46 @@ func TestSingleChannelConvergence(t *testing.T) {
 	}
 }
 
+// TestIdlePoolHelpersStep pins the helper node's contract that the
+// environment moves once per round whatever the load: on one channel with
+// more pool helpers than peers, so that helpers sit idle, every round's
+// capacities equal those of a core.System twin driven by Step.
+func TestIdlePoolHelpersStep(t *testing.T) {
+	const peers, helpers, seed, rounds = 3, 8, 99, 200
+	rt, err := New(oneChannelConfig(peers, helpers, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	twin, err := core.New(core.Config{NumPeers: peers, Helpers: uniformHelpers(helpers), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := 0
+	for round := 0; round < rounds; round++ {
+		stats, err := rt.StepRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := twin.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := &stats.Channels[0]
+		if !slices.Equal(ch.Capacities, res.Capacities) {
+			t.Fatalf("round %d: capacities %v, twin's %v (loads %v)", round, ch.Capacities, res.Capacities, ch.Loads)
+		}
+		for _, n := range ch.Loads {
+			if n == 0 {
+				idle++
+			}
+		}
+	}
+	if idle == 0 {
+		t.Fatal("no pool helper sat idle")
+	}
+}
+
 // TestDeterministicAcrossRuns pins that the concurrency never leaks into
 // results: two identical deployments produce identical welfare streams, on
 // four channels and on one.
